@@ -41,14 +41,19 @@ myrinetLink(std::uint32_t mtu)
 Link::Link(sim::Simulation &sim, std::string name, LinkConfig config)
     : SimObject(sim, std::move(name)), cfg_(config), faults_(sim.rng())
 {
-    regStat("packetsSent", packetsSent);
-    regStat("bytesSent", bytesSent);
-    regStat("oversizeDrops", oversizeDrops);
-    regStat("queueDrops", queueDrops);
+    regStat("packetsSent", counters.packetsSent);
+    regStat("bytesSent", counters.bytesSent);
+    regStat("oversizeDrops", counters.oversizeDrops);
+    regStat("queueDrops", counters.queueDrops);
     regStat("faults.drops", faults_.drops);
     regStat("faults.dups", faults_.dups);
     regStat("faults.corruptions", faults_.corruptions);
     regStat("faults.reorders", faults_.reorders);
+    for (auto &d : dir_) {
+        d.eq = &eventQueue();
+        d.faults = &faults_;
+        d.counters = &counters;
+    }
 }
 
 void
@@ -71,142 +76,96 @@ Link::txIdleAt(int side) const
     return dir_.at(static_cast<std::size_t>(side)).busyUntil;
 }
 
-void
-Link::bindSide(int side, const LinkBoundary &boundary)
+namespace {
+
+[[noreturn]] void
+panicSharedTap(const std::string &link)
 {
-    auto &d = dir_.at(static_cast<std::size_t>(side));
-    d.bnd = boundary;
-    d.faults = std::make_unique<FaultInjector>(*boundary.rng);
-    d.faults->config = faults_.config;
+    panic("%s: a whole-link tap would be written from two partitions "
+          "under the parallel engine; tap each side with "
+          "net::tapLinkSide instead",
+          link.c_str());
 }
 
 void
-Link::setSideTap(int side,
-                 std::function<void(const Packet &, sim::Tick)> tap)
+foldInto(sim::Counter &to, sim::Counter &from)
+{
+    to.inc(from.value());
+    from.reset();
+}
+
+} // namespace
+
+void
+Link::bindSide(int side, sim::Partition &src, sim::Mailbox *outbox)
+{
+    if (sharedTap_)
+        panicSharedTap(name());
+    auto &d = dir_.at(static_cast<std::size_t>(side));
+    d.own = std::make_unique<SideState>(src.rng());
+    d.eq = &src.eventQueue();
+    d.outbox = outbox;
+    d.faults = &d.own->faults;
+    d.counters = &d.own->counters;
+}
+
+void
+Link::setTap(LinkTap tap)
+{
+    if (bound())
+        panicSharedTap(name());
+    dir_[0].tap = tap;
+    dir_[1].tap = std::move(tap);
+    sharedTap_ = true;
+}
+
+void
+Link::setSideTap(int side, LinkTap tap)
 {
     dir_.at(static_cast<std::size_t>(side)).tap = std::move(tap);
+    // The other side keeps its tap, now the only writer into it.
+    sharedTap_ = false;
 }
 
 void
 Link::foldBoundaryStats()
 {
     for (auto &d : dir_) {
-        if (d.bnd.eq == nullptr)
+        if (d.own == nullptr)
             continue;
-        packetsSent.inc(d.packetsSent.value());
-        bytesSent.inc(d.bytesSent.value());
-        oversizeDrops.inc(d.oversizeDrops.value());
-        queueDrops.inc(d.queueDrops.value());
-        d.packetsSent.reset();
-        d.bytesSent.reset();
-        d.oversizeDrops.reset();
-        d.queueDrops.reset();
-        faults_.drops.inc(d.faults->drops.value());
-        faults_.dups.inc(d.faults->dups.value());
-        faults_.corruptions.inc(d.faults->corruptions.value());
-        faults_.reorders.inc(d.faults->reorders.value());
-        d.faults->drops.reset();
-        d.faults->dups.reset();
-        d.faults->corruptions.reset();
-        d.faults->reorders.reset();
+        LinkCounters &c = d.own->counters;
+        foldInto(counters.packetsSent, c.packetsSent);
+        foldInto(counters.bytesSent, c.bytesSent);
+        foldInto(counters.oversizeDrops, c.oversizeDrops);
+        foldInto(counters.queueDrops, c.queueDrops);
+        FaultInjector &f = d.own->faults;
+        foldInto(faults_.drops, f.drops);
+        foldInto(faults_.dups, f.dups);
+        foldInto(faults_.corruptions, f.corruptions);
+        foldInto(faults_.reorders, f.reorders);
     }
 }
 
 /**
- * The parallel-mode transmit path: identical wire model to send(),
- * but all mutable state it touches — busyUntil, counters, the fault
- * stream, the tap — is owned by this direction's sending partition,
- * and delivery goes through the bound queue or the cross-partition
- * mailbox instead of the global queue.
+ * The one transmit path. All mutable state it touches — busyUntil,
+ * counters, the fault stream, the tap — belongs to the sending
+ * direction: the link's own in serial mode, the sending partition's
+ * once bindSide has run.
  */
-bool
-Link::sendBoundary(Direction &tx, int from_side, PacketPtr pkt)
-{
-    const int to_side = from_side ^ 1;
-
-    if (pkt->data.size() > cfg_.mtu) {
-        tx.oversizeDrops.inc();
-        warn("%s: dropping oversize packet (%zu > mtu %u)",
-             name().c_str(), pkt->data.size(), cfg_.mtu);
-        return false;
-    }
-
-    const sim::Tick now = tx.bnd.eq->now();
-    if (tx.busyUntil > now) {
-        const sim::Tick backlog = tx.busyUntil - now;
-        const sim::Tick one_mtu =
-            serializationDelay(cfg_.mtu + cfg_.overheadBytes);
-        if (backlog > one_mtu * cfg_.txQueueCap) {
-            tx.queueDrops.inc();
-            return false;
-        }
-    }
-
-    pkt->linkOverheadBytes = cfg_.overheadBytes;
-    if (pkt->injectedAt == 0)
-        pkt->injectedAt = now;
-
-    const sim::Tick start = std::max(now, tx.busyUntil);
-    const sim::Tick ser = serializationDelay(pkt->wireBytes());
-    tx.busyUntil = start + ser;
-
-    tx.packetsSent.inc();
-    tx.bytesSent.inc(pkt->wireBytes());
-
-    // Live config (tests flip fault rates between runs), private
-    // per-direction stream and counters.
-    tx.faults->config = faults_.config;
-    FaultDecision fault = tx.faults->apply(*pkt);
-
-    if (tx.tap)
-        tx.tap(*pkt, start);
-    // No tracer span: the parallel engine rejects tracing outright.
-
-    if (fault.drop)
-        return true; // consumed the wire, never arrives
-
-    auto &rx = dir_.at(static_cast<std::size_t>(to_side));
-    if (rx.receiver == nullptr)
-        panic("%s: side %d has no receiver", name().c_str(), to_side);
-    NetReceiver *receiver = rx.receiver;
-
-    const auto post = [&](PacketPtr p, sim::Tick extra) {
-        const sim::Tick arrive = tx.busyUntil + cfg_.propDelay + extra;
-        if (tx.bnd.outbox != nullptr) {
-            tx.bnd.outbox->post(arrive, sim::defaultPriority,
-                                [receiver, p] {
-                                    receiver->onPacket(p);
-                                });
-        } else {
-            tx.bnd.eq->schedule(arrive, [receiver, p] {
-                receiver->onPacket(p);
-            });
-        }
-    };
-
-    post(pkt, fault.extraDelay);
-    if (fault.duplicate)
-        post(clonePacket(*pkt), fault.extraDelay);
-    return true;
-}
-
 bool
 Link::send(int from_side, PacketPtr pkt)
 {
     auto &tx = dir_.at(static_cast<std::size_t>(from_side));
     const int to_side = from_side ^ 1;
 
-    if (tx.bnd.eq != nullptr)
-        return sendBoundary(tx, from_side, std::move(pkt));
-
     if (pkt->data.size() > cfg_.mtu) {
-        oversizeDrops.inc();
+        tx.counters->oversizeDrops.inc();
         warn("%s: dropping oversize packet (%zu > mtu %u)",
              name().c_str(), pkt->data.size(), cfg_.mtu);
         return false;
     }
 
-    const sim::Tick now = curTick();
+    const sim::Tick now = tx.eq->now();
     // Model queue depth by how far ahead of real time the transmitter
     // is already committed.
     if (tx.busyUntil > now) {
@@ -214,7 +173,7 @@ Link::send(int from_side, PacketPtr pkt)
         const sim::Tick one_mtu =
             serializationDelay(cfg_.mtu + cfg_.overheadBytes);
         if (backlog > one_mtu * cfg_.txQueueCap) {
-            queueDrops.inc();
+            tx.counters->queueDrops.inc();
             return false;
         }
     }
@@ -227,15 +186,18 @@ Link::send(int from_side, PacketPtr pkt)
     const sim::Tick ser = serializationDelay(pkt->wireBytes());
     tx.busyUntil = start + ser;
 
-    packetsSent.inc();
-    bytesSent.inc(pkt->wireBytes());
+    tx.counters->packetsSent.inc();
+    tx.counters->bytesSent.inc(pkt->wireBytes());
 
-    FaultDecision fault = faults_.apply(*pkt);
+    // A bound side rolls its private stream against the live config
+    // (tests flip fault rates between runs).
+    if (tx.faults != &faults_)
+        tx.faults->config = faults_.config;
+    FaultDecision fault = tx.faults->apply(*pkt);
 
     if (tx.tap)
         tx.tap(*pkt, start);
-    else if (txTap)
-        txTap(*pkt, start);
+    // The parallel engine refuses tracing, so only serial runs trace.
     if (tracer().enabled()) {
         // Tag with the link-local sequence number (not pkt->id, which
         // is a process-global counter and would break same-seed trace
@@ -244,30 +206,34 @@ Link::send(int from_side, PacketPtr pkt)
                       sim::strfmt("{\"seq\": %llu, \"bytes\": %zu, "
                                   "\"side\": %d}",
                                   static_cast<unsigned long long>(
-                                      packetsSent.value()),
+                                      tx.counters->packetsSent.value()),
                                   pkt->wireBytes(), from_side));
     }
 
     if (fault.drop)
         return true; // consumed the wire, never arrives
 
-    deliver(to_side, pkt, fault.extraDelay);
+    auto &rx = dir_.at(static_cast<std::size_t>(to_side));
+    if (rx.receiver == nullptr)
+        panic("%s: side %d has no receiver", name().c_str(), to_side);
+    deliver(tx, rx.receiver, pkt, fault.extraDelay);
     if (fault.duplicate)
-        deliver(to_side, clonePacket(*pkt), fault.extraDelay);
+        deliver(tx, rx.receiver, clonePacket(*pkt), fault.extraDelay);
     return true;
 }
 
 void
-Link::deliver(int to_side, PacketPtr pkt, sim::Tick extra_delay)
+Link::deliver(const Direction &tx, NetReceiver *receiver, PacketPtr pkt,
+              sim::Tick extra_delay)
 {
-    auto &rx = dir_.at(static_cast<std::size_t>(to_side));
-    if (rx.receiver == nullptr)
-        panic("%s: side %d has no receiver", name().c_str(), to_side);
-
-    auto &tx = dir_.at(static_cast<std::size_t>(to_side ^ 1));
     const sim::Tick arrive = tx.busyUntil + cfg_.propDelay + extra_delay;
-    NetReceiver *receiver = rx.receiver;
-    schedule(arrive, [receiver, pkt] { receiver->onPacket(pkt); });
+    auto fn = [receiver, pkt = std::move(pkt)] {
+        receiver->onPacket(pkt);
+    };
+    if (tx.outbox != nullptr)
+        tx.outbox->post(arrive, sim::defaultPriority, std::move(fn));
+    else
+        tx.eq->schedule(arrive, std::move(fn));
 }
 
 } // namespace qpip::net

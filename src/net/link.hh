@@ -27,20 +27,16 @@
 
 namespace qpip::net {
 
-/**
- * Parallel mode: the execution-context binding of one link
- * direction. The transmitter of a side always runs in the sender's
- * partition; @p outbox carries deliveries toward a receiver living in
- * a different partition (nullptr when both endpoints share one).
- */
-struct LinkBoundary
+/** Capture callback: a frame and the tick its serialization starts. */
+using LinkTap = std::function<void(const Packet &, sim::Tick)>;
+
+/** The counters one link transmitter writes. */
+struct LinkCounters
 {
-    /** The sending partition's event queue (drives this direction). */
-    sim::EventQueue *eq = nullptr;
-    /** The sending partition's RNG (per-direction fault stream). */
-    sim::Random *rng = nullptr;
-    /** Cross-partition channel to the receiver, or nullptr. */
-    sim::Mailbox *outbox = nullptr;
+    sim::Counter packetsSent;
+    sim::Counter bytesSent;
+    sim::Counter oversizeDrops;
+    sim::Counter queueDrops;
 };
 
 /** Static parameters of a link. */
@@ -94,71 +90,87 @@ class Link : public sim::SimObject
 
     /**
      * Parallel mode: bind the transmitter of @p side to its sending
-     * partition. From then on this direction schedules on the bound
-     * queue, draws faults from a per-direction injector seeded off
-     * the bound RNG, and counts into per-direction shadow counters
-     * (folded into the public ones by foldBoundaryStats()). Wired up
-     * by net::partitionFabric during setup.
+     * partition @p src. From then on this direction schedules on
+     * @p src's queue, draws faults from its own injector seeded off
+     * @p src's RNG, and counts into its own counters (folded into the
+     * public ones by foldBoundaryStats()). @p outbox carries
+     * deliveries toward a receiver in another partition (nullptr when
+     * both ends share one). Wired up by net::partitionFabric during
+     * setup; panics if a whole-link tap is installed (see setTap).
      */
-    void bindSide(int side, const LinkBoundary &boundary);
+    void bindSide(int side, sim::Partition &src, sim::Mailbox *outbox);
 
     /** @return true once either side has been bound (parallel mode). */
     bool
     bound() const
     {
-        return dir_[0].bnd.eq != nullptr || dir_[1].bnd.eq != nullptr;
+        return dir_[0].own != nullptr || dir_[1].own != nullptr;
     }
 
     /**
-     * Per-side capture tap (parallel mode: each tap is invoked only
-     * from its own sending partition). Overrides txTap for that side.
+     * Capture tap on both transmitters, invoked for every frame that
+     * occupies the wire (after fault injection, so corrupted bytes
+     * are seen) with the tick its serialization starts. See
+     * net/pcap.hh. A bound link's two sides run in different
+     * partitions, so a tap shared between them panics, whether the
+     * link is bound first or tapped first: tap each side instead.
      */
-    void setSideTap(int side,
-                    std::function<void(const Packet &, sim::Tick)> tap);
+    void setTap(LinkTap tap);
 
     /**
-     * Fold the per-direction shadow counters (packet/byte/drop/fault
-     * counts) into the public counters and reset them. Sums are
-     * commutative, so the result is independent of execution
+     * Capture tap on the transmitter of @p side only (parallel mode:
+     * invoked only from that side's sending partition).
+     */
+    void setSideTap(int side, LinkTap tap);
+
+    /**
+     * Fold the per-direction counters of bound sides (packet/byte/
+     * drop/fault counts) into the public counters and reset them.
+     * Sums are commutative, so the result is independent of execution
      * interleaving; registered as an engine fold hook.
      */
     void foldBoundaryStats();
 
-    /**
-     * Capture tap: invoked for every frame that occupies the wire
-     * (after fault injection, so corrupted bytes are seen) with the
-     * tick its serialization starts. See net/pcap.hh.
-     */
-    std::function<void(const Packet &, sim::Tick)> txTap;
-
-    sim::Counter packetsSent;
-    sim::Counter bytesSent;
-    sim::Counter oversizeDrops;
-    sim::Counter queueDrops;
+    /** Written directly in serial mode; bound sides fold in. */
+    LinkCounters counters;
 
   private:
+    /** A bound direction's own fault stream and counters. */
+    struct SideState
+    {
+        explicit SideState(sim::Random &rng) : faults(rng) {}
+        FaultInjector faults;
+        LinkCounters counters;
+    };
+
+    /**
+     * One transmitter and the context it sends in. Serial default:
+     * the link's own queue, no outbox, the shared faults_ stream and
+     * the public counters; bindSide points the same fields at the
+     * sending partition's.
+     */
     struct Direction
     {
         NetReceiver *receiver = nullptr;
         sim::Tick busyUntil = 0;
-        // --- parallel mode only -------------------------------------
-        LinkBoundary bnd;
-        /** Per-direction fault stream (bnd.rng), folded post-run. */
-        std::unique_ptr<FaultInjector> faults;
-        /** Shadow counters owned by the sending partition. */
-        sim::Counter packetsSent;
-        sim::Counter bytesSent;
-        sim::Counter oversizeDrops;
-        sim::Counter queueDrops;
-        std::function<void(const Packet &, sim::Tick)> tap;
+        sim::EventQueue *eq = nullptr;
+        /** Cross-partition channel to the receiver, or nullptr. */
+        sim::Mailbox *outbox = nullptr;
+        FaultInjector *faults = nullptr;
+        LinkCounters *counters = nullptr;
+        LinkTap tap;
+        /** Set by bindSide: storage behind faults and counters. */
+        std::unique_ptr<SideState> own;
     };
 
-    void deliver(int to_side, PacketPtr pkt, sim::Tick extra_delay);
-    bool sendBoundary(Direction &tx, int from_side, PacketPtr pkt);
+    void deliver(const Direction &tx, NetReceiver *receiver,
+                 PacketPtr pkt, sim::Tick extra_delay);
 
     LinkConfig cfg_;
     FaultInjector faults_;
     std::array<Direction, 2> dir_;
+    /** setTap installed one tap on both sides (serial mode only). */
+    bool sharedTap_ = false;
 };
 
 } // namespace qpip::net

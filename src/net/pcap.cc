@@ -71,9 +71,9 @@ PcapWriter::writeFile(const std::string &path) const
 void
 tapLink(Link &link, PcapWriter &writer)
 {
-    link.txTap = [&writer](const Packet &pkt, sim::Tick when) {
+    link.setTap([&writer](const Packet &pkt, sim::Tick when) {
         writer.record(pkt, when);
-    };
+    });
 }
 
 void

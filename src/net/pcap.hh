@@ -57,7 +57,10 @@ class PcapWriter
 
 /**
  * Tap both transmitters of @p link into @p writer, which must outlive
- * the link's traffic. Replaces any previous tap on the link.
+ * the link's traffic. Replaces any previous tap on the link. Serial
+ * mode only: on a link bound to the parallel engine (either order)
+ * this panics, since the two sides run in different partitions — use
+ * tapLinkSide there.
  */
 void tapLink(Link &link, PcapWriter &writer);
 

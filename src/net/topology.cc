@@ -24,15 +24,6 @@ Fabric::linkFor(NodeId node)
     sim::panic("%s: unknown node %u", name_.c_str(), node);
 }
 
-sim::Tick
-Fabric::minPropDelay() const
-{
-    sim::Tick min = sim::maxTick;
-    for (const Edge &e : edges_)
-        min = std::min(min, e.link->config().propDelay);
-    return min;
-}
-
 Switch &
 Fabric::makeSwitch(const std::string &name)
 {
@@ -225,8 +216,6 @@ partitionFabric(sim::ParallelEngine &engine, Fabric &fabric,
         sw_parts.push_back(&p);
     }
 
-    engine.setLookahead(fabric.minPropDelay());
-
     const auto part_of =
         [&](const Fabric::Attachment &a) -> sim::Partition * {
         return a.isSwitch ? sw_parts.at(a.index)
@@ -234,33 +223,24 @@ partitionFabric(sim::ParallelEngine &engine, Fabric &fabric,
     };
 
     for (const Fabric::Edge &e : fabric.edges()) {
+        // The edge lookahead: the link's propagation delay plus its
+        // serialization floor — arrival is busyUntil + propDelay, and
+        // even an empty frame occupies the wire for the link overhead
+        // bytes, so no delivery can undercut this. Parallel trunks
+        // between one partition pair share a mailbox, which keeps
+        // the minimum.
+        const sim::Tick lookahead =
+            e.link->config().propDelay +
+            e.link->serializationDelay(e.link->config().overheadBytes);
         for (int side = 0; side < 2; ++side) {
             sim::Partition *src = part_of(e.ends.at(
                 static_cast<std::size_t>(side)));
             sim::Partition *dst = part_of(e.ends.at(
                 static_cast<std::size_t>(side ^ 1)));
-            LinkBoundary b;
-            b.eq = &src->eventQueue();
-            b.rng = &src->rng();
-            b.outbox =
-                src == dst ? nullptr : &engine.mailbox(*src, *dst);
-            if (b.outbox != nullptr) {
-                // Declare this edge's own lookahead: the propagation
-                // delay of the link it carries plus its serialization
-                // floor — arrival is busyUntil + propDelay, and even
-                // an empty frame occupies the wire for the link
-                // overhead bytes, so no delivery can undercut this.
-                // Several links can share one mailbox (parallel
-                // trunks between the same partition pair), so keep
-                // the minimum.
-                const sim::Tick l =
-                    e.link->config().propDelay +
-                    e.link->serializationDelay(
-                        e.link->config().overheadBytes);
-                if (l < b.outbox->lookahead())
-                    b.outbox->setLookahead(l);
-            }
-            e.link->bindSide(side, b);
+            sim::Mailbox *outbox =
+                src == dst ? nullptr
+                           : &engine.mailbox(*src, *dst, lookahead);
+            e.link->bindSide(side, *src, outbox);
         }
         Link *link = e.link;
         engine.addFoldHook([link] { link->foldBoundaryStats(); });

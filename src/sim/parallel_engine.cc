@@ -76,12 +76,9 @@ ParallelEngine::addPartition(const std::string &name)
     const auto id = static_cast<std::uint32_t>(parts_.size());
     parts_.push_back(std::make_unique<Partition>(
         id, name, partitionSeed(sim_.seed(), id)));
-    outMail_.emplace_back();
-    inMail_.emplace_back();
     nextTick_.push_back(maxTick);
     floor_.push_back(maxTick);
     prevExecuted_.push_back(0);
-    lastEpochEvents_.push_back(0);
     return *parts_.back();
 }
 
@@ -96,17 +93,21 @@ ParallelEngine::findPartition(const std::string &name)
 }
 
 Mailbox &
-ParallelEngine::mailbox(Partition &src, Partition &dst)
+ParallelEngine::mailbox(Partition &src, Partition &dst, Tick lookahead)
 {
-    for (auto &mb : mail_) {
-        if (&mb->src() == &src && &mb->dst() == &dst)
-            return *mb;
+    if (lookahead == 0) {
+        panic("Mailbox %s->%s: edge lookahead must be at least one "
+              "tick",
+              src.name().c_str(), dst.name().c_str());
     }
-    mail_.push_back(std::make_unique<Mailbox>(src, dst));
-    Mailbox *mb = mail_.back().get();
-    outMail_.at(src.id()).push_back(mb);
-    inMail_.at(dst.id()).push_back(mb);
-    return *mb;
+    for (auto &mb : mail_) {
+        if (&mb->src() == &src && &mb->dst() == &dst) {
+            mb->lookahead_ = std::min(mb->lookahead_, lookahead);
+            return *mb;
+        }
+    }
+    mail_.push_back(std::make_unique<Mailbox>(src, dst, lookahead));
+    return *mail_.back();
 }
 
 void
@@ -121,14 +122,6 @@ ParallelEngine::assignByPrefix(const std::string &prefix, Partition &p)
         if (exact || child)
             obj->bindExecContext(p.eventQueue(), p.rng());
     }
-}
-
-void
-ParallelEngine::setLookahead(Tick l)
-{
-    if (l == 0)
-        panic("ParallelEngine: lookahead must be at least one tick");
-    lookahead_ = l;
 }
 
 void
@@ -157,18 +150,6 @@ ParallelEngine::checkRunnable()
         panic("ParallelEngine: events pending on the global queue — "
               "a SimObject was not assigned to any partition");
     }
-    // Resolve every edge's effective lookahead: edges that declared
-    // their own (link propagation delay) keep it, the rest inherit
-    // the global default.
-    for (auto &mb : mail_) {
-        if (mb->lookahead_ != maxTick)
-            continue;
-        if (lookahead_ == maxTick) {
-            panic("ParallelEngine: cross-partition mailboxes exist "
-                  "but no lookahead was set");
-        }
-        mb->lookahead_ = lookahead_;
-    }
     // Flatten the partition graph for the per-epoch relaxation:
     // iterating a contiguous {src, dst, lookahead} array beats
     // chasing Mailbox pointers at the epoch rates the engine
@@ -192,9 +173,6 @@ ParallelEngine::injectMail()
     // barrier visits only posted-to edges instead of every mailbox.
     for (auto &p : parts_) {
         for (Mailbox *mb : p->dirtyOut_) {
-            // Normally pre-sorted by the worker that ran the source
-            // (an O(n) is_sorted check); sorts here only for batches
-            // posted outside an epoch.
             mb->sortBatch();
             posts += mb->msgs_.size();
             if (mb->msgs_.size() > 1)
@@ -203,22 +181,8 @@ ParallelEngine::injectMail()
         }
         p->dirtyOut_.clear();
     }
-    if (merge_.empty())
-        return;
     statMailboxPosts_.inc(posts);
     statBatchedPosts_.inc(batched);
-    if (merge_.size() == 1) {
-        // One non-empty edge (the common case on lightly loaded
-        // epochs): its batch is already the merged order.
-        Mailbox *mb = merge_.front().mb;
-        for (auto &m : mb->msgs_) {
-            mb->dst().eventQueue().schedule(m.when, std::move(m.fn),
-                                            m.priority);
-        }
-        mb->msgs_.clear();
-        merge_.clear();
-        return;
-    }
     // K-way merge of the sorted per-edge runs. (tick, priority, seq,
     // srcId) is a strict total order (seq streams are per-source
     // partition), so destination-queue insertion order — and with it
@@ -301,7 +265,7 @@ ParallelEngine::prepareEpoch(Tick until)
             hbound_[e.dst], clampAdd(floor_[e.src], e.lookahead));
     }
     std::uint64_t stalls = 0;
-    claimOrder_.clear();
+    runnable_.clear();
     Tick frontier = until;
     for (std::uint32_t i = 0; i < n; ++i) {
         Partition &p = *parts_[i];
@@ -309,7 +273,7 @@ ParallelEngine::prepareEpoch(Tick until)
         p.runTo_ = std::min(p.horizon_, until);
         frontier = std::min(frontier, p.runTo_);
         if (nextTick_[i] < p.runTo_) {
-            claimOrder_.push_back(i);
+            runnable_.push_back(i);
         } else {
             if (nextTick_[i] < until)
                 ++stalls; // has work, but neighbors are behind
@@ -321,39 +285,19 @@ ParallelEngine::prepareEpoch(Tick until)
         }
     }
     statHorizonStalls_.inc(stalls);
-    // Phase 3: claim order, heaviest last-epoch partitions first so
-    // the long poles start before the stragglers fill in. With one
-    // worker the claims run back-to-back, so ordering buys nothing.
-    if (threads_ > 1) {
-        std::sort(claimOrder_.begin(), claimOrder_.end(),
-                  [this](std::uint32_t a, std::uint32_t b) {
-                      if (lastEpochEvents_[a] != lastEpochEvents_[b]) {
-                          return lastEpochEvents_[a] >
-                                 lastEpochEvents_[b];
-                      }
-                      return a < b;
-                  });
-    }
     return frontier;
 }
 
 void
 ParallelEngine::claimLoop(std::unique_lock<std::mutex> &lock)
 {
-    for (;;) {
-        if (nextPart_ >= claimOrder_.size())
-            return;
-        Partition *p = parts_[claimOrder_[nextPart_++]].get();
+    while (nextPart_ < runnable_.size()) {
+        Partition &p = *parts_[runnable_[nextPart_++]];
         lock.unlock();
         {
-            ExecContextScope scope(&p->execContext());
-            p->eventQueue().runUntil(p->runTo_);
+            ExecContextScope scope(&p.execContext());
+            p.eventQueue().runUntil(p.runTo_);
         }
-        // Sort this partition's outgoing batches while still inside
-        // the parallel region: the barrier then only pays for the
-        // k-way merge.
-        for (Mailbox *mb : p->dirtyOut_)
-            mb->sortBatch();
         lock.lock();
     }
 }
@@ -378,18 +322,6 @@ ParallelEngine::workerLoop()
 void
 ParallelEngine::runEpoch()
 {
-    if (workers_.empty()) {
-        // Single worker: no other thread touches engine state, so the
-        // mutex/condvar handoff would order nothing. Run the claim
-        // list inline; injectMail sorts the batches at the barrier
-        // (its is_sorted pre-check makes presorting redundant here).
-        for (const std::uint32_t i : claimOrder_) {
-            Partition &p = *parts_[i];
-            ExecContextScope scope(&p.execContext());
-            p.eventQueue().runUntil(p.runTo_);
-        }
-        return;
-    }
     std::unique_lock<std::mutex> lock(m_);
     nextPart_ = 0;
     busy_ = workers_.size();
@@ -403,15 +335,14 @@ void
 ParallelEngine::finishEpoch()
 {
     statEpochs_.inc();
-    if (claimOrder_.empty())
+    if (runnable_.empty())
         return;
     std::uint64_t mx = 0;
     std::uint64_t mn = ~std::uint64_t(0);
-    for (const std::uint32_t i : claimOrder_) {
+    for (const std::uint32_t i : runnable_) {
         const std::uint64_t ex = parts_[i]->eventQueue().executed();
         const std::uint64_t delta = ex - prevExecuted_[i];
         prevExecuted_[i] = ex;
-        lastEpochEvents_[i] = delta;
         mx = std::max(mx, delta);
         mn = std::min(mn, delta);
     }
@@ -429,28 +360,18 @@ ParallelEngine::foldAll()
 std::uint64_t
 ParallelEngine::runUntil(Tick until)
 {
-    checkRunnable();
     const std::uint64_t before = executed();
-    for (;;) {
-        injectMail();
-        const Tick next = refreshNextTicks();
-        if (next >= until)
-            break;
-        now_ = std::max(now_, prepareEpoch(until));
-        runEpoch();
-        finishEpoch();
-    }
+    runUntilCondition([] { return false; }, until);
     if (until != maxTick) {
         // Mirror EventQueue::runUntil: idle partitions still advance
         // their clocks to the stop time (no events can remain below
-        // it — the loop above only exits once next >= until).
+        // it — the loop only exits once every next event >= until).
         for (auto &p : parts_) {
             ExecContextScope scope(&p->execContext());
             p->eventQueue().runUntil(until);
         }
         now_ = std::max(now_, until);
     }
-    foldAll();
     return executed() - before;
 }
 
@@ -459,25 +380,20 @@ ParallelEngine::runUntilCondition(const std::function<bool()> &pred,
                                   Tick deadline)
 {
     checkRunnable();
-    if (pred()) {
-        foldAll();
-        return true;
-    }
-    for (;;) {
+    bool met = pred();
+    while (!met) {
         injectMail();
-        const Tick next = refreshNextTicks();
-        if (next >= deadline) {
-            foldAll();
-            return pred();
+        if (refreshNextTicks() >= deadline) {
+            met = pred();
+            break;
         }
         now_ = std::max(now_, prepareEpoch(deadline));
         runEpoch();
         finishEpoch();
-        if (pred()) {
-            foldAll();
-            return true;
-        }
+        met = pred();
     }
+    foldAll();
+    return met;
 }
 
 void

@@ -13,16 +13,17 @@
  *      below) — each partition gets its own bound instead of the
  *      whole fabric marching at the pace of its slowest link;
  *   3. run every partition with runnable work up to its horizon
- *      (workers claim partitions from a shared, work-estimate-sorted
- *      index — which thread runs which partition is arbitrary, the
- *      outcome is not);
+ *      (workers claim partitions from a shared index — which thread
+ *      runs which partition is arbitrary, the outcome is not);
  *   4. barrier; repeat.
  *
- * Per-edge horizons. Every mailbox edge e = (q -> p) declares a
- * lookahead L_e: a lower bound on the delivery latency of anything
- * posted through it. At each barrier the engine computes, for every
- * partition q, a conservative floor B_q on the earliest tick at which
- * q can execute *any* event this epoch or later:
+ * Per-edge horizons. Every mailbox edge e = (q -> p) is created with
+ * a lookahead L_e: a lower bound on the delivery latency of anything
+ * posted through it. There is no engine-wide default; an edge that
+ * carries several links keeps the minimum of their bounds. At each
+ * barrier the engine computes, for every partition q, a conservative
+ * floor B_q on the earliest tick at which q can execute *any* event
+ * this epoch or later:
  *
  *     B_q = min(next_q, min over incoming e=(r->q) of B_r + L_e)
  *
@@ -54,11 +55,14 @@
  *
  * Batched posts. During an epoch each mailbox accumulates posts in a
  * local append buffer (no synchronization: only the source's worker
- * touches it). The worker that ran the source sorts each outgoing
- * batch while still inside the parallel region; the barrier then
+ * touches it). The barrier sorts each posted batch once, then
  * k-way-merges the sorted runs straight into the destination queues —
- * the same (tick, priority, seq, srcId) total order as a global sort,
- * at merge cost.
+ * the same (tick, priority, seq, srcId) total order as a global sort.
+ *
+ * Epoch scheduling. Every epoch, runnable partitions are claimed in
+ * ascending id order from one shared index, by the worker threads and
+ * the calling thread alike; a 1-thread engine takes the same
+ * mutex-ordered path with no workers.
  *
  * Determinism: each partition's queue preserves the serial
  * (when, priority, seq) total order; injection order into a queue is
@@ -100,8 +104,8 @@ class ParallelEngine
   public:
     /**
      * Install the engine on @p sim (Simulation::run* delegate here
-     * until destruction). @p threads is the worker count: 1 executes
-     * partitions inline on the calling thread.
+     * until destruction). @p threads is the worker count, the calling
+     * thread included: 1 executes every partition on the caller.
      */
     ParallelEngine(Simulation &sim, int threads);
     ~ParallelEngine();
@@ -116,22 +120,26 @@ class ParallelEngine
     Partition &partition(std::size_t i) { return *parts_.at(i); }
     Partition *findPartition(const std::string &name);
 
-    /** Find-or-create the src->dst mailbox. */
-    Mailbox &mailbox(Partition &src, Partition &dst);
+    /**
+     * Find-or-create the src->dst mailbox with edge lookahead
+     * @p lookahead. Asked again for an existing edge (several links
+     * between one partition pair), the edge keeps the minimum.
+     * @pre lookahead >= 1 tick.
+     */
+    Mailbox &mailbox(Partition &src, Partition &dst, Tick lookahead);
+
+    /** Every cross-partition edge, in creation order. */
+    const std::vector<std::unique_ptr<Mailbox>> &
+    mailboxes() const
+    {
+        return mail_;
+    }
 
     /**
      * Bind every registered SimObject whose name is @p prefix or
      * starts with "@p prefix." to partition @p p (its queue and RNG).
      */
     void assignByPrefix(const std::string &prefix, Partition &p);
-
-    /**
-     * Set the global default edge lookahead: the minimum
-     * cross-partition delivery latency. Edges with a tighter bound
-     * declare their own via Mailbox::setLookahead. @pre l >= 1 tick.
-     */
-    void setLookahead(Tick l);
-    Tick lookahead() const { return lookahead_; }
 
     /**
      * Register a hook run at the end of every run*() call, after the
@@ -183,13 +191,13 @@ class ParallelEngine
     Tick refreshNextTicks();
     /**
      * Compute per-partition horizons for the next epoch (relaxation
-     * floors + incoming-edge minima), build the work-estimate-sorted
-     * claim order, and count stalls. @return the min horizon (the
-     * epoch's conservative global frontier).
+     * floors + incoming-edge minima), list the runnable partitions,
+     * and count stalls. @return the min horizon (the epoch's
+     * conservative global frontier).
      */
     Tick prepareEpoch(Tick until);
     void runEpoch();
-    /** Per-epoch bookkeeping: work estimates + imbalance stats. */
+    /** Per-epoch imbalance stats. */
     void finishEpoch();
     void claimLoop(std::unique_lock<std::mutex> &lock);
     void workerLoop();
@@ -197,13 +205,9 @@ class ParallelEngine
 
     Simulation &sim_;
     int threads_;
-    Tick lookahead_ = maxTick;
     Tick now_ = 0;
     std::vector<std::unique_ptr<Partition>> parts_;
     std::vector<std::unique_ptr<Mailbox>> mail_;
-    /** Outgoing / incoming mailboxes by partition id. */
-    std::vector<std::vector<Mailbox *>> outMail_;
-    std::vector<std::vector<Mailbox *>> inMail_;
     std::vector<std::function<void()>> foldHooks_;
 
     // Barrier scratch (sized to parts_, reused across epochs).
@@ -230,9 +234,8 @@ class ParallelEngine
     };
     std::vector<RunCursor> merge_;
     std::vector<std::uint64_t> prevExecuted_;
-    std::vector<std::uint64_t> lastEpochEvents_;
-    /** Partition ids to run this epoch, heaviest estimate first. */
-    std::vector<std::uint32_t> claimOrder_;
+    /** Partition ids to run this epoch, ascending. */
+    std::vector<std::uint32_t> runnable_;
 
     // Scaling observability (registered as "parallel.*"; all values
     // derive from the deterministic schedule, so they are identical

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/logging.hh"
+
 namespace qpip::sim {
 
 namespace detail {
@@ -43,8 +45,7 @@ Mailbox::sortBatch()
             return a.priority < b.priority;
         return a.seq < b.seq;
     };
-    if (!std::is_sorted(msgs_.begin(), msgs_.end(), before))
-        std::sort(msgs_.begin(), msgs_.end(), before);
+    std::sort(msgs_.begin(), msgs_.end(), before);
 }
 
 void
@@ -52,7 +53,7 @@ Mailbox::panicBelowHorizon(Tick when) const
 {
     panic("Mailbox p%u(%s) -> p%u(%s): post at tick %llu violates the "
           "destination's epoch horizon %llu (edge lookahead %llu "
-          "declared too large for the link it models?)",
+          "too large for the links it carries?)",
           src_.id(), src_.name().c_str(), dst_.id(),
           dst_.name().c_str(), static_cast<unsigned long long>(when),
           static_cast<unsigned long long>(dst_.epochHorizon()),

@@ -7,19 +7,19 @@
  * during one barrier epoch it is executed by exactly one worker
  * thread, so everything bound to a partition runs single-threaded.
  * Cross-partition communication goes through Mailbox: the source
- * partition appends closures to the edge's local batch buffer, the
- * worker that ran the source sorts the batch while still inside the
- * parallel region, and the engine merges all batches at the epoch
- * barrier in one deterministic (tick, priority, seq, source partition
- * id) pass — so the resulting schedule is independent of thread count
- * and interleaving.
+ * partition appends closures to the edge's local batch buffer, and
+ * the engine sorts and merges all batches at the epoch barrier in one
+ * deterministic (tick, priority, seq, source partition id) pass — so
+ * the resulting schedule is independent of thread count and
+ * interleaving.
  *
- * Every edge carries its own lookahead (the minimum delivery latency
- * of that link), and every partition carries the horizon of the epoch
- * it is currently running. A post below the *destination's* horizon
- * means the destination may already have executed past the delivery
- * tick — a causality violation — and panics with enough context to
- * debug at thousand-host scale.
+ * Every edge carries its own lookahead, fixed when the engine creates
+ * it (the minimum delivery latency of the links it carries), and
+ * every partition carries the horizon of the epoch it is currently
+ * running. A post below the *destination's* horizon means the
+ * destination may already have executed past the delivery tick — a
+ * causality violation — and panics with enough context to debug at
+ * thousand-host scale.
  *
  * The thread-local ExecContext lets objects constructed *while a
  * partition is executing* (e.g. a TCP connection spun up by an
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/types.hh"
 
@@ -146,17 +145,20 @@ class Partition
 /**
  * A one-way cross-partition channel. Only the source partition's
  * executing thread may post; posts accumulate in a local batch buffer
- * with no synchronization. The worker that ran the source sorts the
- * batch, and the engine merges all batches at the epoch barrier (all
- * workers parked). Posted timestamps must be at or beyond the
- * *destination's* epoch horizon — that is exactly the conservative
- * lookahead guarantee the engine's synchronization window rests on,
- * so a violation is a simulator bug and panics.
+ * with no synchronization, and the engine sorts and merges all
+ * batches at the epoch barrier (all workers parked). Posted
+ * timestamps must be at or beyond the *destination's* epoch horizon —
+ * that is exactly the conservative lookahead guarantee the engine's
+ * synchronization window rests on, so a violation is a simulator bug
+ * and panics.
  */
 class Mailbox
 {
   public:
-    Mailbox(Partition &src, Partition &dst) : src_(src), dst_(dst) {}
+    /** Created by ParallelEngine::mailbox. @pre lookahead >= 1 tick. */
+    Mailbox(Partition &src, Partition &dst, Tick lookahead)
+        : src_(src), dst_(dst), lookahead_(lookahead)
+    {}
 
     Mailbox(const Mailbox &) = delete;
     Mailbox &operator=(const Mailbox &) = delete;
@@ -165,23 +167,10 @@ class Mailbox
     Partition &dst() { return dst_; }
 
     /**
-     * Declare this edge's lookahead: a lower bound on the delivery
-     * latency of every message posted through it (for a link edge,
-     * the link's propagation delay). Edges that never declare one
-     * inherit the engine's global lookahead. When several physical
-     * links share the edge, declare the minimum. @pre l >= 1 tick.
+     * This edge's lookahead: a lower bound on the delivery latency of
+     * every message posted through it (the minimum over the links it
+     * carries).
      */
-    void
-    setLookahead(Tick l)
-    {
-        if (l == 0)
-            panic("Mailbox %s->%s: edge lookahead must be at least "
-                  "one tick",
-                  src_.name().c_str(), dst_.name().c_str());
-        lookahead_ = l;
-    }
-
-    /** The declared edge lookahead (maxTick until resolved). */
     Tick lookahead() const { return lookahead_; }
 
     /** Post a closure for delivery at @p when in the destination. */
@@ -210,10 +199,8 @@ class Mailbox
 
     /**
      * Sort the pending batch by (when, priority, seq) — a strict
-     * total order, seq streams are per-source. Called by the worker
-     * that ran the source partition so the barrier merge only pays
-     * for merging, and again defensively (O(n) is_sorted check) at
-     * injection for batches posted outside an epoch.
+     * total order, seq streams are per-source. Called once per batch,
+     * at the barrier.
      */
     void sortBatch();
 
@@ -221,8 +208,7 @@ class Mailbox
 
     Partition &src_;
     Partition &dst_;
-    /** This edge's lookahead; maxTick = inherit the engine global. */
-    Tick lookahead_ = maxTick;
+    Tick lookahead_;
     std::vector<Msg> msgs_;
 };
 

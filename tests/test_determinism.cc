@@ -737,3 +737,113 @@ TEST(ParallelDeterminism, BatchedPostsThreadCountInvariant)
     EXPECT_EQ(four.statsJson, again.statsJson);
     EXPECT_EQ(four.pcap, again.pcap);
 }
+
+namespace {
+
+/**
+ * The deterministic summary of one partitioned run: what the schedule
+ * did, independent of thread count. The thread-count suites above
+ * compare two runs of one build, so a change that alters the schedule
+ * at every thread count passes them; the golden values below pin it
+ * across revisions instead.
+ */
+struct ScheduleGolden
+{
+    std::uint64_t events = 0;
+    sim::Tick endTick = 0;
+    std::uint64_t epochs = 0;
+    std::uint64_t mailboxPosts = 0;
+    std::uint64_t batchedPosts = 0;
+    std::uint64_t horizonStalls = 0;
+    /** Summed over every fabric link. */
+    std::uint64_t packetsSent = 0;
+    std::uint64_t bytesSent = 0;
+
+    bool
+    operator==(const ScheduleGolden &o) const
+    {
+        return events == o.events && endTick == o.endTick &&
+               epochs == o.epochs && mailboxPosts == o.mailboxPosts &&
+               batchedPosts == o.batchedPosts &&
+               horizonStalls == o.horizonStalls &&
+               packetsSent == o.packetsSent && bytesSent == o.bytesSent;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const ScheduleGolden &g)
+{
+    return os << "{events " << g.events << ", endTick " << g.endTick
+              << ", epochs " << g.epochs << ", mailboxPosts "
+              << g.mailboxPosts << ", batchedPosts " << g.batchedPosts
+              << ", horizonStalls " << g.horizonStalls
+              << ", packetsSent " << g.packetsSent << ", bytesSent "
+              << g.bytesSent << "}";
+}
+
+/** ttcp over @p pairs on a partitioned sockets fabric. */
+ScheduleGolden
+runScheduleGolden(apps::FabricTopology topo, std::size_t n_hosts,
+                  const std::vector<apps::TtcpPair> &pairs,
+                  std::size_t bytes_per_pair, int threads)
+{
+    apps::SocketsTestbed bed(n_hosts,
+                             apps::SocketsFabric::GigabitEthernet, 1,
+                             host::HostCostModel{}, topo);
+    bed.enableParallel(threads);
+    const auto r =
+        apps::runSocketsTtcpPairs(bed, pairs, bytes_per_pair);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.pairsCompleted, pairs.size());
+    const auto &stats = bed.sim().stats();
+    ScheduleGolden g;
+    g.events = bed.engine()->executed();
+    g.endTick = bed.sim().now();
+    g.epochs = stats.counterValue("parallel.epochs");
+    g.mailboxPosts = stats.counterValue("parallel.mailboxPosts");
+    g.batchedPosts = stats.counterValue("parallel.batchedPosts");
+    g.horizonStalls = stats.counterValue("parallel.horizonStalls");
+    for (const auto &e : bed.fabric().edges()) {
+        g.packetsSent +=
+            stats.counterValue(e.link->name() + ".packetsSent");
+        g.bytesSent += stats.counterValue(e.link->name() + ".bytesSent");
+    }
+    return g;
+}
+
+} // namespace
+
+TEST(ParallelGolden, DualStarRingSchedule)
+{
+    // The 8-host ring of Topology.DualStarParallelSocketsSmoke.
+    std::vector<apps::TtcpPair> pairs;
+    for (std::size_t i = 0; i < 8; ++i)
+        pairs.push_back(apps::TtcpPair{i, (i + 1) % 8});
+    const ScheduleGolden want{3298, 1686903766, 466, 776,
+                              4,    2164,       776, 659952};
+    for (const int threads : {1, 4}) {
+        EXPECT_EQ(runScheduleGolden(apps::FabricTopology::DualStar, 8,
+                                    pairs, 32 * 1024, threads),
+                  want)
+            << "threads=" << threads;
+    }
+}
+
+TEST(ParallelGolden, FatTreeK8ShiftSchedule)
+{
+    // 16 hosts on the k=8 fat-tree (4 edge switches, 4 spines), every
+    // host sending to the host 5 places on: each flow crosses an edge
+    // switch boundary, and the d-mod spine choice spreads the flows
+    // over all four spines.
+    std::vector<apps::TtcpPair> pairs;
+    for (std::size_t i = 0; i < 16; ++i)
+        pairs.push_back(apps::TtcpPair{i, (i + 5) % 16});
+    const ScheduleGolden want{5232, 1076923645, 166,  1536,
+                              96,   900,        1536, 1187840};
+    for (const int threads : {1, 4}) {
+        EXPECT_EQ(runScheduleGolden(apps::FabricTopology::FatTreeK8, 16,
+                                    pairs, 16 * 1024, threads),
+                  want)
+            << "threads=" << threads;
+    }
+}

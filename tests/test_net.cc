@@ -140,7 +140,7 @@ TEST(Link, DropsOversizePackets)
     EXPECT_FALSE(link.send(0, somePacket(1501)));
     sim.run();
     EXPECT_TRUE(sink.packets.empty());
-    EXPECT_EQ(link.oversizeDrops.value(), 1u);
+    EXPECT_EQ(link.counters.oversizeDrops.value(), 1u);
 }
 
 TEST(Link, FullDuplexDirectionsAreIndependent)

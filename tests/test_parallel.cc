@@ -62,7 +62,6 @@ TEST(ParallelEngine, RunUntilStopsAndAlignsClocks)
     sim::ParallelEngine eng(simu, 2);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
-    eng.setLookahead(10);
     int ran = 0;
     a.eventQueue().schedule(5, [&] { ++ran; });
     a.eventQueue().schedule(100, [&] { ++ran; });
@@ -83,9 +82,8 @@ TEST(ParallelEngine, MailboxMergeOrderIsDeterministic)
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     auto &c = eng.addPartition("c");
-    auto &ac = eng.mailbox(a, c);
-    auto &bc = eng.mailbox(b, c);
-    eng.setLookahead(50);
+    auto &ac = eng.mailbox(a, c, 50);
+    auto &bc = eng.mailbox(b, c, 50);
 
     // Only partition c's events touch `order`.
     std::vector<std::string> order;
@@ -141,9 +139,8 @@ runBounce(int threads)
     sim::ParallelEngine eng(simu, threads);
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
-    auto &ab = eng.mailbox(a, b);
-    auto &ba = eng.mailbox(b, a);
-    eng.setLookahead(100);
+    auto &ab = eng.mailbox(a, b, 100);
+    auto &ba = eng.mailbox(b, a, 100);
 
     BounceDigest d;
     // Written only by the partition executing the hop; hops strictly
@@ -192,9 +189,8 @@ TEST(ParallelEngine, RunUntilConditionChecksAtBarriers)
     // partition with no incoming edges runs clean to the deadline in
     // one epoch. L=5 both ways makes H_a = next_a + 10, so with events
     // spaced 10 apart each epoch executes exactly one.
-    eng.mailbox(a, b);
-    eng.mailbox(b, a);
-    eng.setLookahead(5);
+    eng.mailbox(a, b, 5);
+    eng.mailbox(b, a, 5);
     int count = 0;
     for (Tick t = 0; t < 100; t += 10)
         a.eventQueue().schedule(t, [&] { ++count; });
@@ -218,10 +214,10 @@ TEST(ParallelEngine, PerEdgeHorizonsDecoupleSlowEdges)
     auto &sb = eng.addPartition("sb");
     // Two disjoint pairs: the fast pair's edges declare a wide
     // lookahead, the slow pair's a narrow one.
-    eng.mailbox(fa, fb).setLookahead(1000);
-    eng.mailbox(fb, fa).setLookahead(1000);
-    eng.mailbox(sa, sb).setLookahead(10);
-    eng.mailbox(sb, sa).setLookahead(10);
+    eng.mailbox(fa, fb, 1000);
+    eng.mailbox(fb, fa, 1000);
+    eng.mailbox(sa, sb, 10);
+    eng.mailbox(sb, sa, 10);
     int fast = 0;
     int slow = 0;
     for (Tick t = 0; t < 100; t += 10) {
@@ -245,11 +241,8 @@ TEST(ParallelEngine, HorizonFloorsPropagateThroughStalledChains)
     auto &a = eng.addPartition("a");
     auto &b = eng.addPartition("b");
     auto &c = eng.addPartition("c");
-    // Per-edge lookaheads only — no engine-global fallback needed.
-    auto &ab = eng.mailbox(a, b);
-    auto &bc = eng.mailbox(b, c);
-    ab.setLookahead(10);
-    bc.setLookahead(10);
+    auto &ab = eng.mailbox(a, b, 10);
+    auto &bc = eng.mailbox(b, c, 10);
 
     // b starts empty and wakes only when a's post arrives, then
     // forwards into c below c's far-future local event. c's horizon
@@ -281,9 +274,9 @@ TEST(ParallelEngine, TightestIncomingEdgeBoundsHorizon)
     // c has two incoming edges: a wide one from a and a tight one
     // from b (whose own floor tracks c through the return edge). The
     // tight edge must win: H_c = next_c + 4.
-    eng.mailbox(a, c).setLookahead(1000);
-    eng.mailbox(b, c).setLookahead(2);
-    eng.mailbox(c, b).setLookahead(2);
+    eng.mailbox(a, c, 1000);
+    eng.mailbox(b, c, 2);
+    eng.mailbox(c, b, 2);
     int count = 0;
     a.eventQueue().schedule(0, [] {});
     for (Tick t = 0; t < 100; t += 10)
@@ -295,6 +288,23 @@ TEST(ParallelEngine, TightestIncomingEdgeBoundsHorizon)
     EXPECT_EQ(eng.epochs(), 10u);
 }
 
+TEST(ParallelEngine, MailboxKeepsTheMinimumLookahead)
+{
+    sim::Simulation simu(1);
+    sim::ParallelEngine eng(simu, 1);
+    auto &a = eng.addPartition("a");
+    auto &b = eng.addPartition("b");
+    // Asking again for an existing edge (parallel links between one
+    // partition pair) returns it, with the tighter of the bounds.
+    auto &ab = eng.mailbox(a, b, 30);
+    EXPECT_EQ(&eng.mailbox(a, b, 10), &ab);
+    EXPECT_EQ(&eng.mailbox(a, b, 20), &ab);
+    EXPECT_EQ(ab.lookahead(), 10u);
+    ASSERT_EQ(eng.mailboxes().size(), 1u);
+    EXPECT_EQ(eng.mailboxes().front().get(), &ab);
+    EXPECT_DEATH(eng.mailbox(b, a, 0), "at least one tick");
+}
+
 TEST(ParallelEngine, RegistersParallelStats)
 {
     sim::Simulation simu(1);
@@ -302,8 +312,7 @@ TEST(ParallelEngine, RegistersParallelStats)
         sim::ParallelEngine eng(simu, 2);
         auto &a = eng.addPartition("a");
         auto &b = eng.addPartition("b");
-        auto &ab = eng.mailbox(a, b);
-        eng.setLookahead(10);
+        auto &ab = eng.mailbox(a, b, 10);
         for (const char *leaf :
              {"parallel.epochs", "parallel.mailboxPosts",
               "parallel.batchedPosts", "parallel.horizonStalls",

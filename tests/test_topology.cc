@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+
 #include "apps/testbed.hh"
 #include "apps/ttcp.hh"
+#include "net/pcap.hh"
 #include "net/topology.hh"
 #include "sim/parallel_engine.hh"
 #include "sim/simulation.hh"
@@ -18,6 +24,19 @@ using apps::FabricTopology;
 using apps::SocketsFabric;
 
 namespace {
+
+/** The engine partition id a fabric attachment runs in. */
+std::uint32_t
+partitionOf(apps::SocketsTestbed &bed, const net::Fabric::Attachment &a)
+{
+    const std::string name =
+        a.isSwitch ? bed.fabric().switchAt(a.index).name()
+                   : "host" + std::to_string(a.index);
+    sim::Partition *p = bed.engine()->findPartition(name);
+    if (p == nullptr)
+        ADD_FAILURE() << "no partition " << name;
+    return p != nullptr ? p->id() : 0;
+}
 
 /** Forwarded-packet count of switch @p name, 0 if unregistered. */
 std::uint64_t
@@ -38,8 +57,6 @@ TEST(Topology, DualStarShape)
     EXPECT_EQ(fab.numSwitches(), 2u);
     // 4 spokes + 1 trunk.
     EXPECT_EQ(fab.edges().size(), 5u);
-    EXPECT_EQ(fab.minPropDelay(),
-              net::gigabitEthernetLink().propDelay);
     // Every host has a spoke.
     for (net::NodeId n = 0; n < 4; ++n)
         EXPECT_NO_THROW(fab.linkFor(n));
@@ -105,7 +122,29 @@ TEST(Topology, DualStarParallelSocketsSmoke)
     ASSERT_NE(bed.engine(), nullptr);
     // 8 host partitions + 2 switch partitions.
     EXPECT_EQ(bed.engine()->numPartitions(), 10u);
-    EXPECT_EQ(bed.engine()->lookahead(), bed.fabric().minPropDelay());
+    // Every mailbox's lookahead is the minimum, over the links it
+    // carries, of propDelay + serializationDelay(overheadBytes).
+    std::map<std::pair<std::uint32_t, std::uint32_t>, sim::Tick> want;
+    for (const auto &e : bed.fabric().edges()) {
+        const sim::Tick l =
+            e.link->config().propDelay +
+            e.link->serializationDelay(e.link->config().overheadBytes);
+        for (std::size_t side = 0; side < 2; ++side) {
+            const std::uint32_t src = partitionOf(bed, e.ends[side]);
+            const std::uint32_t dst =
+                partitionOf(bed, e.ends[side ^ 1]);
+            auto [it, fresh] = want.try_emplace({src, dst}, l);
+            if (!fresh)
+                it->second = std::min(it->second, l);
+        }
+    }
+    ASSERT_EQ(bed.engine()->mailboxes().size(), want.size());
+    for (const auto &mb : bed.engine()->mailboxes()) {
+        const auto key = std::make_pair(mb->src().id(), mb->dst().id());
+        ASSERT_EQ(want.count(key), 1u);
+        EXPECT_EQ(mb->lookahead(), want.at(key))
+            << mb->src().name() << "->" << mb->dst().name();
+    }
 
     // Ring traffic: every host sends to its clockwise neighbour.
     std::vector<apps::TtcpPair> pairs;
@@ -132,4 +171,29 @@ TEST(Topology, DualStarParallelQpipSmoke)
     EXPECT_TRUE(r.completed);
     EXPECT_GT(r.mbPerSec, 0.0);
     EXPECT_GT(bed.engine()->epochs(), 0u);
+}
+
+TEST(Topology, WholeLinkTapPanicsOnAPartitionedLink)
+{
+    // Tapped after partitioning: the whole-link tap would be written
+    // from the host's and the switch's partitions.
+    {
+        apps::SocketsTestbed bed(2, SocketsFabric::GigabitEthernet, 1,
+                                 host::HostCostModel{},
+                                 FabricTopology::DualStar);
+        bed.enableParallel(1);
+        net::PcapWriter pcap;
+        EXPECT_DEATH(net::tapLink(bed.fabric().linkFor(0), pcap),
+                     "fabric\\.link0: .*tapLinkSide");
+    }
+    // Tapped first, partitioned after: enableParallel panics instead.
+    {
+        apps::SocketsTestbed bed(2, SocketsFabric::GigabitEthernet, 1,
+                                 host::HostCostModel{},
+                                 FabricTopology::DualStar);
+        net::PcapWriter pcap;
+        net::tapLink(bed.fabric().linkFor(1), pcap);
+        EXPECT_DEATH(bed.enableParallel(1),
+                     "fabric\\.link1: .*tapLinkSide");
+    }
 }
