@@ -124,11 +124,15 @@ NbdSocketServer::NbdSocketServer(host::HostStack &stack,
 void
 NbdSocketServer::serve(std::shared_ptr<TcpSocket> sock)
 {
+    // The loop holds itself weakly; the request it leaves pending on
+    // the socket holds it strongly, so it lives exactly as long as
+    // the connection keeps serving.
     auto loop = std::make_shared<std::function<void()>>();
-    *loop = [this, sock, loop] {
+    *loop = [this, sock, self = std::weak_ptr(loop)] {
         sock->recvExact(
             nbdRequestHeaderBytes,
-            [this, sock, loop](std::vector<std::uint8_t> hdr) {
+            [this, sock,
+             loop = self.lock()](std::vector<std::uint8_t> hdr) {
                 NbdRequest req;
                 if (!parseNbdRequest(hdr, req))
                     return; // EOF or protocol error: stop serving
@@ -512,6 +516,11 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
                         });
     };
 
+    bed.atTeardown([sender, reader, finish_write] {
+        *sender = nullptr;
+        *reader = nullptr;
+        *finish_write = nullptr;
+    });
     (*sender)();
     (*reader)();
 
@@ -676,6 +685,7 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
         });
     };
 
+    bed.atTeardown([pump] { *pump = nullptr; });
     (*issue)();
     (*pump)();
 

@@ -106,6 +106,11 @@ runSocketTcpPingPong(SocketsTestbed &bed, std::size_t iterations,
                         });
     };
 
+    bed.atTeardown([echo, iterate] {
+        *echo = nullptr;
+        *iterate = nullptr;
+    });
+
     auto sock = client.tcpConnect(
         bed.addr(0, 30001), bed.addr(1, serverPort), cfg, nullptr);
     // Kick the loop once connected.
@@ -135,8 +140,10 @@ runSocketUdpPingPong(SocketsTestbed &bed, std::size_t iterations,
 
     auto echo = std::make_shared<std::function<void()>>();
     *echo = [srv, echo] {
-        srv->recvFrom([srv, echo](UdpSocket::Datagram d) {
-            srv->sendTo(std::move(d.data), d.from, nullptr);
+        // srv keeps this callback: a strong capture would be a cycle.
+        srv->recvFrom([sock = std::weak_ptr(srv),
+                       echo](UdpSocket::Datagram d) {
+            sock.lock()->sendTo(std::move(d.data), d.from, nullptr);
             (*echo)();
         });
     };
@@ -157,6 +164,10 @@ runSocketUdpPingPong(SocketsTestbed &bed, std::size_t iterations,
                 (*iterate)();
         });
     };
+    bed.atTeardown([echo, iterate] {
+        *echo = nullptr;
+        *iterate = nullptr;
+    });
     (*iterate)();
 
     sim.runUntilCondition([&] { return st->finished; },
@@ -241,6 +252,12 @@ runQpipTcpPingPong(QpipTestbed &bed, std::size_t iterations,
         (*await_reply)();
     };
 
+    bed.atTeardown([server_loop, iterate, await_reply] {
+        *server_loop = nullptr;
+        *iterate = nullptr;
+        *await_reply = nullptr;
+    });
+
     qp_c->connect(bed.addr(1, serverPort), [iterate](bool ok) {
         if (ok)
             (*iterate)();
@@ -320,6 +337,11 @@ runQpipUdpPingPong(QpipTestbed &bed, std::size_t iterations,
         qp_c->postSend(2, *mr_c, 0, st->msgBytes, server_addr);
         (*await_reply)();
     };
+    bed.atTeardown([server_loop, iterate, await_reply] {
+        *server_loop = nullptr;
+        *iterate = nullptr;
+        *await_reply = nullptr;
+    });
     (*iterate)();
 
     sim.runUntilCondition([&] { return st->finished; },

@@ -110,6 +110,9 @@ SocketsTestbed::~SocketsTestbed()
     } else {
         sim_.eventQueue().clear();
     }
+    for (auto &release : teardown_)
+        release();
+    teardown_.clear();
 }
 
 void
@@ -188,6 +191,9 @@ QpipTestbed::~QpipTestbed()
     } else {
         sim_.eventQueue().clear();
     }
+    for (auto &release : teardown_)
+        release();
+    teardown_.clear();
 }
 
 void

@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -86,6 +87,18 @@ class SocketsTestbed
     /** MTU-derived TCP config for this fabric. */
     inet::TcpConfig tcpConfig() const;
 
+    /**
+     * Run @p release at teardown, once pending events are dropped and
+     * while hosts and NICs still exist. A driver whose callback loops
+     * capture their own shared_ptr (keeping sockets, QPs and CQs alive
+     * for post-run inspection) breaks those reference cycles here.
+     */
+    void
+    atTeardown(std::function<void()> release)
+    {
+        teardown_.push_back(std::move(release));
+    }
+
   private:
     sim::Simulation sim_;
     /**
@@ -98,6 +111,7 @@ class SocketsTestbed
     std::unique_ptr<net::Fabric> fabric_;
     std::vector<std::unique_ptr<host::Host>> hosts_;
     std::vector<std::unique_ptr<nic::EthNic>> nics_;
+    std::vector<std::function<void()>> teardown_;
 };
 
 /**
@@ -144,6 +158,13 @@ class QpipTestbed
     /** The fabric address of host @p i with @p port. */
     inet::SockAddr addr(std::size_t i, std::uint16_t port) const;
 
+    /** See SocketsTestbed::atTeardown. */
+    void
+    atTeardown(std::function<void()> release)
+    {
+        teardown_.push_back(std::move(release));
+    }
+
   private:
     sim::Simulation sim_;
     IpFamily family_;
@@ -153,6 +174,7 @@ class QpipTestbed
     std::vector<std::unique_ptr<host::Host>> hosts_;
     std::vector<std::unique_ptr<nic::QpipNic>> nics_;
     std::vector<std::unique_ptr<verbs::Provider>> providers_;
+    std::vector<std::function<void()>> teardown_;
 };
 
 } // namespace qpip::apps

@@ -97,6 +97,10 @@ runSocketsTtcp(SocketsTestbed &bed, std::size_t total_bytes,
         sock->sendAll(std::vector<std::uint8_t>(n, 0xcd),
                       [pump] { (*pump)(); });
     };
+    bed.atTeardown([drain, pump] {
+        *drain = nullptr;
+        *pump = nullptr;
+    });
     (*pump)();
 
     const bool ok = sim.runUntilCondition([&] { return *done; },
@@ -306,6 +310,7 @@ runSocketsTtcpPairs(SocketsTestbed &bed,
                        [drain](std::shared_ptr<TcpSocket> sock) {
                            (*drain)(sock);
                        });
+        bed.atTeardown([drain] { *drain = nullptr; });
     }
 
     // Connect every sender (source port 30000+k keeps 4-tuples
@@ -343,6 +348,7 @@ runSocketsTtcpPairs(SocketsTestbed &bed,
             sock->sendAll(std::vector<std::uint8_t>(n, 0xcd),
                           [pump] { (*pump)(); });
         };
+        bed.atTeardown([pump] { *pump = nullptr; });
         (*pump)();
     }
 

@@ -25,7 +25,18 @@ HostStack::HostStack(sim::Simulation &sim, std::string name, HostOS &os)
     regStat("reass6.expired", inet_.reassembler().expired);
 }
 
-HostStack::~HostStack() = default;
+HostStack::~HostStack()
+{
+    // No socket callback can fire once the stack is gone. Drop the
+    // ones still parked: they often capture their own socket, a
+    // reference cycle that would otherwise outlive the stack.
+    for (auto &entry : socketsByConn_) {
+        TcpSocket &sock = *entry.second;
+        sock.connectCb_ = nullptr;
+        sock.pendingSendDone_ = nullptr;
+        sock.recvCb_ = nullptr;
+    }
+}
 
 void
 HostStack::attachNic(HostNicDriver &nic)

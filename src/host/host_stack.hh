@@ -195,7 +195,8 @@ class HostStack : public sim::SimObject, public inet::InetEnv
 
     /** Ordered by port: any bulk walk visits listeners low-to-high. */
     std::map<std::uint16_t, std::unique_ptr<Listener>> listeners_;
-    // Lookup/erase only, never iterated — safe despite pointer keys.
+    // Lookup/erase only, plus one order-insensitive sweep in the
+    // destructor — safe despite pointer keys.
     std::unordered_map<inet::TcpConnection *, std::shared_ptr<TcpSocket>>
         socketsByConn_;
     /** Monotonic id for per-connection stat prefixes. */

@@ -4,26 +4,19 @@
  * home for QP state blocks. The prototype keeps every QP context
  * resident (its workloads use a handful of QPs); at SAN server scale
  * the working set outgrows the SRAM and each touch of a non-resident
- * QP costs a host-memory fetch (and a writeback for the context it
- * displaces — but only a *dirty* one: a context that was merely read
- * since it was fetched can be dropped for free). The cache is a
- * strict LRU over deterministic structures (intrusive list + ordered
- * map, never iterated), so replay and parallel-partition runs see
- * identical hit/miss sequences.
+ * QP costs a host-memory fetch, plus a writeback of the context it
+ * displaces. The cache is a strict LRU over deterministic structures
+ * (intrusive list + ordered map, never iterated), so replay and
+ * parallel-partition runs see identical hit/miss sequences.
  *
- * Capacity is denominated either in entries (the historical knob) or
- * in bytes: context blocks differ by service type — a connected
- * ReliableTcp QP carries full TCP state while an UnreliableUdp QP is
- * little more than a demux entry — and a byte-capacity cache holds
- * correspondingly more of the small ones. Byte mode may displace
- * several small victims to fit one large block; the Touch result
- * reports every victim so the firmware can charge each writeback.
+ * Capacity is a count of context blocks. Every firmware stage that
+ * touches a context may modify it, so every resident block is treated
+ * as dirty: each eviction owes one writeback.
  *
- * A capacity of zero (in whichever denomination) disables the model
- * entirely: every touch hits and nothing is ever charged, which is
- * also the timing behaviour of a warm cache that never overflows —
- * the paper-config calibration tests assert the two are
- * byte-identical.
+ * A capacity of zero disables the model entirely: every touch hits
+ * and nothing is ever charged, which is also the timing behaviour of
+ * a warm cache that never overflows — the paper-config calibration
+ * tests assert the two are byte-identical.
  */
 
 #pragma once
@@ -38,28 +31,6 @@
 namespace qpip::nic {
 
 /**
- * Host-memory footprint of one QP context block by service type.
- * ReliableTcp carries the full TCP control block; UnreliableUdp is a
- * demux entry plus WR shadows; ReliableDatagram adds only the shim's
- * QP-level bookkeeping — its per-peer state intentionally lives in
- * host memory, outside the cache.
- */
-constexpr std::uint32_t
-qpContextBytes(QpType t)
-{
-    switch (t) {
-      case QpType::ReliableTcp: return 512;
-      case QpType::UnreliableUdp: return 128;
-      case QpType::ReliableDatagram: return 192;
-    }
-    return 512;
-}
-
-/** The reference block size the fetch/writeback costs are quoted at. */
-constexpr std::uint32_t qpContextRefBytes =
-    qpContextBytes(QpType::ReliableTcp);
-
-/**
  * Deterministic LRU set of resident QP contexts.
  */
 class QpContextCache
@@ -69,53 +40,24 @@ class QpContextCache
     struct Touch
     {
         bool hit = true;
-        /** First context displaced to make room (invalidQp if none). */
-        QpNum evicted = invalidQp;
-        /** Victims displaced (byte mode can displace several). */
-        std::uint32_t evictedCount = 0;
-        /** Victims that were dirty and owe a writeback. */
-        std::uint32_t dirtyEvictions = 0;
-        /** Total bytes of dirty victims (writeback DMA size). */
-        std::uint64_t writebackBytes = 0;
-        /** Bytes fetched from host memory (zero on a hit). */
-        std::uint32_t fetchBytes = 0;
+        /** An LRU context was displaced and owes a writeback. */
+        bool writeback = false;
     };
 
-    /**
-     * @p capacity entries, or — when @p capacity_bytes is non-zero —
-     * that many bytes of context storage (the entry count is then
-     * ignored).
-     */
-    explicit QpContextCache(std::size_t capacity,
-                            std::size_t capacity_bytes = 0)
-        : capacity_(capacity), capacityBytes_(capacity_bytes)
-    {}
+    /** Hold up to @p capacity contexts (zero disables the model). */
+    explicit QpContextCache(std::size_t capacity) : capacity_(capacity) {}
 
-    bool byteMode() const { return capacityBytes_ > 0; }
-
-    bool
-    enabled() const
-    {
-        return byteMode() || capacity_ > 0;
-    }
-
-    std::size_t capacity() const { return capacity_; }
-    std::size_t capacityBytes() const { return capacityBytes_; }
+    bool enabled() const { return capacity_ > 0; }
     std::size_t size() const { return lru_.size(); }
-    std::size_t usedBytes() const { return usedBytes_; }
 
     /**
      * Reference @p qp's context (any firmware stage that reads or
      * writes QP state). A resident context moves to the MRU position;
-     * a non-resident one is fetched (@p bytes big), possibly
-     * displacing LRU entries. @p dirty marks the resident copy as
-     * modified relative to host memory: only dirty victims pay the
-     * writeback when they are later evicted. With the model disabled
-     * this is a no-op hit.
+     * a non-resident one is fetched, displacing the LRU entry when
+     * the cache is full. With the model disabled this is a no-op hit.
      */
     Touch
-    touch(QpNum qp, std::uint32_t bytes = qpContextRefBytes,
-          bool dirty = true)
+    touch(QpNum qp)
     {
         Touch t;
         if (!enabled())
@@ -123,30 +65,27 @@ class QpContextCache
         auto it = index_.find(qp);
         if (it != index_.end()) {
             lru_.splice(lru_.begin(), lru_, it->second);
-            it->second->dirty = it->second->dirty || dirty;
             hits.inc();
             return t;
         }
         t.hit = false;
-        t.fetchBytes = bytes;
-        insertMru(qp, bytes, dirty, t);
+        insertMru(qp, t);
         misses.inc();
         return t;
     }
 
     /**
      * Install @p qp at creation time (the management FSM warms the
-     * context it just built — dirty by definition: host memory has no
-     * copy yet). Unlike touch() this counts nothing but the evictions
-     * it may force.
+     * context it just built). Unlike touch() this counts nothing but
+     * the eviction it may force.
      */
     Touch
-    install(QpNum qp, std::uint32_t bytes = qpContextRefBytes)
+    install(QpNum qp)
     {
         Touch t;
         if (!enabled() || index_.count(qp) > 0)
             return t;
-        insertMru(qp, bytes, true, t);
+        insertMru(qp, t);
         return t;
     }
 
@@ -157,23 +96,8 @@ class QpContextCache
         auto it = index_.find(qp);
         if (it == index_.end())
             return;
-        usedBytes_ -= it->second->bytes;
         lru_.erase(it->second);
         index_.erase(it);
-    }
-
-    bool
-    resident(QpNum qp) const
-    {
-        return !enabled() || index_.count(qp) > 0;
-    }
-
-    /** A resident context's dirty bit (false if absent/disabled). */
-    bool
-    dirty(QpNum qp) const
-    {
-        auto it = index_.find(qp);
-        return it != index_.end() && it->second->dirty;
     }
 
     sim::Counter hits;
@@ -181,56 +105,24 @@ class QpContextCache
     sim::Counter evictions;
 
   private:
-    struct Entry
-    {
-        QpNum qp = invalidQp;
-        std::uint32_t bytes = 0;
-        bool dirty = false;
-    };
-
     void
-    evictLru(Touch &t)
+    insertMru(QpNum qp, Touch &t)
     {
-        const Entry &victim = lru_.back();
-        if (t.evicted == invalidQp)
-            t.evicted = victim.qp;
-        ++t.evictedCount;
-        if (victim.dirty) {
-            ++t.dirtyEvictions;
-            t.writebackBytes += victim.bytes;
+        if (lru_.size() >= capacity_) {
+            index_.erase(lru_.back());
+            lru_.pop_back();
+            evictions.inc();
+            t.writeback = true;
         }
-        usedBytes_ -= victim.bytes;
-        index_.erase(victim.qp);
-        lru_.pop_back();
-        evictions.inc();
-    }
-
-    void
-    insertMru(QpNum qp, std::uint32_t bytes, bool dirty, Touch &t)
-    {
-        if (byteMode()) {
-            // A block larger than the whole cache still gets one
-            // resident slot (the cache runs transiently over-full by
-            // that single entry, like a victim buffer would).
-            while (!lru_.empty() &&
-                   usedBytes_ + bytes > capacityBytes_) {
-                evictLru(t);
-            }
-        } else if (lru_.size() >= capacity_) {
-            evictLru(t);
-        }
-        lru_.push_front(Entry{qp, bytes, dirty});
-        usedBytes_ += bytes;
+        lru_.push_front(qp);
         index_[qp] = lru_.begin();
     }
 
     std::size_t capacity_;
-    std::size_t capacityBytes_;
-    std::size_t usedBytes_ = 0;
     /** MRU at front. */
-    std::list<Entry> lru_;
+    std::list<QpNum> lru_;
     /** Ordered by QP number; lookup only, never iterated. */
-    std::map<QpNum, std::list<Entry>::iterator> index_;
+    std::map<QpNum, std::list<QpNum>::iterator> index_;
 };
 
 } // namespace qpip::nic

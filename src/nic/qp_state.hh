@@ -14,6 +14,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "inet/inet_addr.hh"
@@ -159,10 +160,8 @@ class CqRing
         if (entries_.size() >= capacity_)
             return false; // CQ overflow: completion lost
         entries_.push_back(c);
-        if (!defer_notify && armed_ && notify_) {
-            armed_ = false;
-            notify_();
-        }
+        if (!defer_notify && armed_ && notify_)
+            fire();
         return true;
     }
 
@@ -173,10 +172,8 @@ class CqRing
     void
     notifyNow()
     {
-        if (armed_ && notify_ && !entries_.empty()) {
-            armed_ = false;
-            notify_();
-        }
+        if (armed_ && notify_ && !entries_.empty())
+            fire();
     }
 
     bool
@@ -204,6 +201,18 @@ class CqRing
     bool armed() const { return armed_; }
 
   private:
+    /**
+     * One-shot upcall: arm() installs a fresh hook each time, so the
+     * fired one is dropped rather than kept holding whatever its
+     * closure captured.
+     */
+    void
+    fire()
+    {
+        armed_ = false;
+        std::exchange(notify_, nullptr)();
+    }
+
     std::size_t capacity_;
     std::deque<Completion> entries_;
     bool armed_ = false;
@@ -248,7 +257,9 @@ class MrTable
             return nullptr;
         if ((it->second.access & required) != required)
             return nullptr;
-        if (sge.offset + sge.length > it->second.bytes)
+        // Written so a wire-supplied offset near 2^64 cannot wrap.
+        const std::size_t bytes = it->second.bytes;
+        if (sge.offset > bytes || sge.length > bytes - sge.offset)
             return nullptr;
         return it->second.base + sge.offset;
     }

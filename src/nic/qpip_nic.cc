@@ -70,7 +70,7 @@ QpipNic::QpipNic(sim::Simulation &sim, std::string name, net::Link &link,
       dmaIn_(sim, this->name() + ".dma_in", params.dma),
       dmaOut_(sim, this->name() + ".dma_out", params.dma),
       doorbells_(sim, this->name() + ".doorbells", params.doorbellCap),
-      qpCache_(params.qpCacheCapacity, params.qpCacheBytes),
+      qpCache_(params.qpCacheCapacity),
       inet_(*this, params.reassExpiry),
       badPackets(inet_.badFrames), noQpDrops(inet_.noMatchDrops)
 {
@@ -180,12 +180,8 @@ QpipNic::createQp(QpType type, QpHostRings *rings, CqRing *scq,
     }
     qps_[num] = std::move(ctx);
     // The management FSM builds the context in SRAM; whatever it
-    // displaces goes back to host memory (if dirty).
-    const auto ev = qpCache_.install(num, qpContextBytes(type));
-    if (ev.dirtyEvictions > 0) {
-        ctxWritebacks.inc(ev.dirtyEvictions);
-        fw_.charge(FwStage::CtxFetch, ctxMissCycles(ev));
-    }
+    // displaces goes back to host memory.
+    chargeCtxTraffic(qpCache_.install(num));
     return num;
 }
 
@@ -416,44 +412,35 @@ QpipNic::doorbellDrain()
 }
 
 void
-QpipNic::touchQpContext(QpNum qp, bool dirty)
+QpipNic::touchQpContext(QpNum qp)
 {
-    if (!qpCache_.enabled())
-        return;
-    auto *ctx = lookupQp(qp);
-    const std::uint32_t bytes =
-        ctx != nullptr ? qpContextBytes(ctx->type) : qpContextRefBytes;
-    const auto t = qpCache_.touch(qp, bytes, dirty);
-    if (t.hit)
-        return;
-    if (t.dirtyEvictions > 0)
-        ctxWritebacks.inc(t.dirtyEvictions);
-    fw_.charge(FwStage::CtxFetch, ctxMissCycles(t));
+    chargeCtxTraffic(qpCache_.touch(qp));
 }
 
-sim::Cycles
-QpipNic::ctxMissCycles(const QpContextCache::Touch &t) const
+void
+QpipNic::chargeCtxTraffic(const QpContextCache::Touch &t)
 {
-    if (!qpCache_.byteMode()) {
-        // Entry-count mode: the legacy flat charges — one full fetch
-        // per miss, one full writeback per dirty victim.
-        const sim::Cycles fetch =
-            t.hit ? 0 : params_.costs.qpCtxFetch;
-        return fetch + params_.costs.qpCtxWriteback *
-                           static_cast<sim::Cycles>(t.dirtyEvictions);
+    if (t.hit && !t.writeback)
+        return;
+    sim::Cycles c = t.hit ? 0 : params_.costs.qpCtxFetch;
+    if (t.writeback) {
+        ctxWritebacks.inc();
+        c += params_.costs.qpCtxWriteback;
     }
-    // Byte mode: fetch and writeback cost scale with the context
-    // bytes actually moved (the flat costs are calibrated for a
-    // full RC context of qpContextRefBytes).
-    const double ref = static_cast<double>(qpContextRefBytes);
-    const double fetch =
-        t.hit ? 0.0
-              : static_cast<double>(params_.costs.qpCtxFetch) *
-                    (static_cast<double>(t.fetchBytes) / ref);
-    const double wb =
-        static_cast<double>(params_.costs.qpCtxWriteback) *
-        (static_cast<double>(t.writebackBytes) / ref);
-    return static_cast<sim::Cycles>(fetch + wb);
+    fw_.charge(FwStage::CtxFetch, c);
+}
+
+void
+QpipNic::chargeDataStage(FwStage stage, sim::Cycles fixed,
+                         DmaEngine &dma, std::size_t len)
+{
+    const Tick begin = std::max(curTick(), fw_.busyUntil());
+    const Tick touch = fw_.clock().cyclesToTicks(
+        static_cast<sim::Cycles>(params_.costs.touchPerByte *
+                                 static_cast<double>(len)));
+    const Tick transfer = dma.chargeAt(begin, len) - begin;
+    fw_.chargeTicks(stage, fw_.clock().cyclesToTicks(fixed) +
+                               std::max(touch, transfer));
 }
 
 // ---------------------------------------------------------------------
@@ -513,31 +500,13 @@ QpipNic::serviceSendWr(QpContext &qp)
                     wr.sge.length >
                 qp.rdmaWindow;
         if (src == nullptr || oversize) {
-            Completion c;
-            c.wrId = wr.id;
-            c.qp = qp.num;
-            c.isSend = true;
-            c.opcode = wr.opcode;
-            c.status = WcStatus::LengthError;
-            pushCompletion(qp.scq, c);
+            completeWr(qp, true, wr.id, wr.opcode,
+                       WcStatus::LengthError);
             return;
         }
 
-        // Get Data: program the DMA engine, then stage the payload
-        // from host memory into NIC SRAM. The firmware is occupied
-        // for the descriptor work plus whichever of (SRAM staging,
-        // DMA transfer) dominates.
         const std::size_t len = wr.sge.length;
-        const Tick begin = std::max(curTick(), fw_.busyUntil());
-        const Tick fixed = fw_.clock().cyclesToTicks(
-            params_.costs.getDataFixed);
-        const Tick touch = fw_.clock().cyclesToTicks(
-            static_cast<sim::Cycles>(params_.costs.touchPerByte *
-                                     static_cast<double>(len)));
-        const Tick dma = dmaIn_.chargeAt(begin, len) - begin;
-        fw_.chargeTicks(FwStage::GetData,
-                        fixed + std::max(touch, dma));
-
+        chargeGetData(len);
         std::vector<std::uint8_t> data(src, src + len);
         schedule(fw_.busyUntil(),
                  [this, qpn, wr = std::move(wr),
@@ -727,41 +696,17 @@ QpipNic::receiveIntoWr(QpContext &qp, std::vector<std::uint8_t> msg,
                  QpContext *ctx = lookupQp(qpn);
                  if (ctx == nullptr)
                      return; // destroyed while the firmware was busy
-                 QpContext &qp = *ctx;
                  std::uint8_t *dst = mrs_.resolve(wr.sge);
-                 Completion c;
-                 c.wrId = wr.id;
-                 c.qp = qp.num;
-                 c.isSend = false;
-                 c.from = from;
-                 if (dst == nullptr || msg.size() > wr.sge.length) {
-                     c.status = WcStatus::LengthError;
-                     c.byteLen = msg.size();
-                     fw_.charge(FwStage::UpdateRx,
-                                params_.costs.updateRxData);
-                     pushCompletion(qp.rcq, c);
-                     return;
+                 WcStatus status = WcStatus::LengthError;
+                 if (dst != nullptr && msg.size() <= wr.sge.length) {
+                     chargePutData(msg.size());
+                     std::copy(msg.begin(), msg.end(), dst);
+                     status = WcStatus::Success;
                  }
-                 // Put Data: DMA from NIC SRAM into the posted
-                 // buffer (same shape as Get Data).
-                 const Tick begin =
-                     std::max(curTick(), fw_.busyUntil());
-                 const Tick fixed = fw_.clock().cyclesToTicks(
-                     params_.costs.putDataFixed);
-                 const Tick touch = fw_.clock().cyclesToTicks(
-                     static_cast<sim::Cycles>(
-                         params_.costs.touchPerByte *
-                         static_cast<double>(msg.size())));
-                 const Tick dma =
-                     dmaOut_.chargeAt(begin, msg.size()) - begin;
-                 fw_.chargeTicks(FwStage::PutData,
-                                 fixed + std::max(touch, dma));
-                 std::copy(msg.begin(), msg.end(), dst);
-                 c.status = WcStatus::Success;
-                 c.byteLen = msg.size();
                  fw_.charge(FwStage::UpdateRx,
                             params_.costs.updateRxData);
-                 pushCompletion(qp.rcq, c);
+                 completeWr(*ctx, false, wr.id, WrOpcode::Send, status,
+                            msg.size(), from);
              });
 }
 
@@ -770,11 +715,22 @@ QpipNic::receiveIntoWr(QpContext &qp, std::vector<std::uint8_t> msg,
 // ---------------------------------------------------------------------
 
 void
-QpipNic::pushCompletion(CqRing *cq, Completion c)
+QpipNic::completeWr(QpContext &qp, bool is_send, std::uint64_t wr_id,
+                    WrOpcode opcode, WcStatus status,
+                    std::size_t byte_len, const inet::SockAddr &from)
 {
+    CqRing *cq = is_send ? qp.scq : qp.rcq;
     if (cq == nullptr)
         return;
     const sim::Tick at = std::max(curTick(), fw_.busyUntil());
+    Completion c;
+    c.wrId = wr_id;
+    c.qp = qp.num;
+    c.isSend = is_send;
+    c.opcode = opcode;
+    c.status = status;
+    c.byteLen = byte_len;
+    c.from = from;
     c.completedAt = at;
     schedule(at, [this, cq, c] {
         // Moderation defers the armed-notify upcall until enough
@@ -836,26 +792,13 @@ QpipNic::flushQp(QpContext &qp, WcStatus status)
         qp.inflightSends.pop_front();
         // RdmaReq entries complete via pendingRdma (below); firmware
         // responses never surface a completion.
-        if (fly.kind != QpContext::TxKind::Send)
-            continue;
-        Completion c;
-        c.wrId = fly.wr.id;
-        c.qp = qp.num;
-        c.isSend = true;
-        c.opcode = fly.wr.opcode;
-        c.status = status;
-        pushCompletion(qp.scq, c);
+        if (fly.kind == QpContext::TxKind::Send)
+            completeWr(qp, true, fly.wr.id, fly.wr.opcode, status);
     }
     while (!qp.pendingRdma.empty()) {
-        SendWr wr = std::move(qp.pendingRdma.front().second);
+        const SendWr &wr = qp.pendingRdma.front().second;
+        completeWr(qp, true, wr.id, wr.opcode, status);
         qp.pendingRdma.pop_front();
-        Completion c;
-        c.wrId = wr.id;
-        c.qp = qp.num;
-        c.isSend = true;
-        c.opcode = wr.opcode;
-        c.status = status;
-        pushCompletion(qp.scq, c);
     }
     while (!qp.rings->sendQ.empty()) {
         SendWr wr = qp.rings->sendQ.front();
@@ -863,24 +806,13 @@ QpipNic::flushQp(QpContext &qp, WcStatus status)
         ++qp.sendConsumed;
         if (qp.sendSeen < qp.sendConsumed)
             qp.sendSeen = qp.sendConsumed;
-        Completion c;
-        c.wrId = wr.id;
-        c.qp = qp.num;
-        c.isSend = true;
-        c.opcode = wr.opcode;
-        c.status = status;
-        pushCompletion(qp.scq, c);
+        completeWr(qp, true, wr.id, wr.opcode, status);
     }
     while (!qp.rings->recvQ.empty()) {
-        RecvWr wr = qp.rings->recvQ.front();
+        const std::uint64_t id = qp.rings->recvQ.front().id;
         qp.rings->recvQ.pop_front();
         ++qp.recvConsumed;
-        Completion c;
-        c.wrId = wr.id;
-        c.qp = qp.num;
-        c.isSend = false;
-        c.status = status;
-        pushCompletion(qp.rcq, c);
+        completeWr(qp, false, id, WrOpcode::Send, status);
     }
     qp.postedRecvCount = 0;
     qp.postedRecvBytes = 0;

@@ -67,14 +67,6 @@ struct QpipNicParams
      */
     std::size_t qpCacheCapacity = 1024;
     /**
-     * Non-zero switches the context cache to byte-denominated
-     * capacity: context blocks occupy their per-type size
-     * (qpContextBytes) and fetch/writeback charges scale
-     * proportionally. qpCacheCapacity is then ignored — it remains
-     * the back-compat entry-count shim used when this is zero.
-     */
-    std::size_t qpCacheBytes = 0;
-    /**
      * Non-zero: doorbell coalescing window, in LANai cycles. A ring
      * addressed to a queue whose newest doorbell record is still
      * undrained and younger than the window folds into that record
@@ -308,19 +300,51 @@ class QpipNic : public sim::SimObject,
     /** The per-service-type datapath tail for @p type. */
     TransportEngine &engineFor(QpType type);
 
+    /** Reference a QP's context in NIC SRAM (see chargeCtxTraffic). */
+    void touchQpContext(QpNum qp);
+
     /**
-     * Reference a QP's context in NIC SRAM; on a miss, charge the
-     * fetch (and any writeback of displaced dirty contexts). @p dirty
-     * marks the touch as modifying QP state; read-only touches leave
-     * a clean resident copy that evicts for free.
+     * Charge the context traffic of one cache touch or install: a
+     * miss pays qpCtxFetch, a displaced context pays qpCtxWriteback,
+     * both in one CtxFetch stage.
      */
-    void touchQpContext(QpNum qp, bool dirty = true);
+    void chargeCtxTraffic(const QpContextCache::Touch &t);
 
-    /** Fetch + writeback cycles for one cache miss / install. */
-    sim::Cycles ctxMissCycles(const QpContextCache::Touch &t) const;
+    /**
+     * Get Data: program the inbound DMA engine and stage @p len bytes
+     * from host memory into NIC SRAM.
+     */
+    void
+    chargeGetData(std::size_t len)
+    {
+        chargeDataStage(FwStage::GetData, params_.costs.getDataFixed,
+                        dmaIn_, len);
+    }
 
-    /** Push a completion at firmware-completion time. */
-    void pushCompletion(CqRing *cq, Completion c);
+    /** Put Data: DMA @p len bytes from NIC SRAM into host memory. */
+    void
+    chargePutData(std::size_t len)
+    {
+        chargeDataStage(FwStage::PutData, params_.costs.putDataFixed,
+                        dmaOut_, len);
+    }
+
+    /**
+     * The firmware is occupied for the descriptor work (@p fixed)
+     * plus whichever of (SRAM staging, @p dma transfer) dominates.
+     */
+    void chargeDataStage(FwStage stage, sim::Cycles fixed,
+                         DmaEngine &dma, std::size_t len);
+
+    /**
+     * Complete WR @p wr_id of @p qp: build its completion and push it
+     * to the QP's send CQ (@p is_send) or receive CQ at
+     * firmware-completion time.
+     */
+    void completeWr(QpContext &qp, bool is_send, std::uint64_t wr_id,
+                    WrOpcode opcode, WcStatus status,
+                    std::size_t byte_len = 0,
+                    const inet::SockAddr &from = {});
 
     /**
      * Deliver a moderated notification to @p cq if it is still armed

@@ -173,13 +173,8 @@ struct QpipNic::QpContext : public inet::TcpObserver,
             // firmware responses carry no WR at all.
             return;
         }
-        Completion c;
-        c.wrId = fly.wr.id;
-        c.qp = num;
-        c.isSend = true;
-        c.status = WcStatus::Success;
-        c.byteLen = fly.wr.sge.length;
-        nic.pushCompletion(scq, c);
+        nic.completeWr(*this, true, fly.wr.id, fly.wr.opcode,
+                       WcStatus::Success, fly.wr.sge.length);
     }
 
     void

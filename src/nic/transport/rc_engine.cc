@@ -7,20 +7,12 @@
 
 namespace qpip::nic {
 
-using sim::Tick;
-
 void
 RcEngine::transmit(QpContext &qp, SendWr wr,
                    std::vector<std::uint8_t> data)
 {
     if (!qp.conn) {
-        Completion c;
-        c.wrId = wr.id;
-        c.qp = qp.num;
-        c.isSend = true;
-        c.opcode = wr.opcode;
-        c.status = WcStatus::Flushed;
-        nic_.pushCompletion(qp.scq, c);
+        nic_.completeWr(qp, true, wr.id, wr.opcode, WcStatus::Flushed);
         return;
     }
     const std::uint64_t tag = qp.nextTag++;
@@ -69,13 +61,8 @@ RcEngine::serviceRdmaRead(QpContext &qp, SendWr wr)
             wr.sge.length >
         qp.rdmaWindow;
     if (dst == nullptr || oversize) {
-        Completion c;
-        c.wrId = wr.id;
-        c.qp = qp.num;
-        c.isSend = true;
-        c.opcode = wr.opcode;
-        c.status = WcStatus::LengthError;
-        nic_.pushCompletion(qp.scq, c);
+        nic_.completeWr(qp, true, wr.id, wr.opcode,
+                        WcStatus::LengthError);
         return;
     }
     nic_.fw_.charge(FwStage::RdmaExec,
@@ -89,13 +76,8 @@ RcEngine::serviceRdmaRead(QpContext &qp, SendWr wr)
             return; // destroyed while the firmware was busy
         QpContext &qp = *ctx;
         if (!qp.conn) {
-            Completion c;
-            c.wrId = wr.id;
-            c.qp = qp.num;
-            c.isSend = true;
-            c.opcode = wr.opcode;
-            c.status = WcStatus::Flushed;
-            nic_.pushCompletion(qp.scq, c);
+            nic_.completeWr(qp, true, wr.id, wr.opcode,
+                            WcStatus::Flushed);
             return;
         }
         net::RdmaHeader h;
@@ -178,19 +160,7 @@ RcEngine::executeRdmaWrite(QpContext &qp, const net::RdmaHeader &hdr,
         sendRdmaResponse(qp, resp, {});
         return;
     }
-    // Put Data: DMA the payload from NIC SRAM into the target region
-    // (same shape as the two-sided receive path).
-    const Tick begin = std::max(nic_.curTick(), nic_.fw_.busyUntil());
-    const Tick fixed = nic_.fw_.clock().cyclesToTicks(
-        nic_.params_.costs.putDataFixed);
-    const Tick touch = nic_.fw_.clock().cyclesToTicks(
-        static_cast<sim::Cycles>(
-            nic_.params_.costs.touchPerByte *
-            static_cast<double>(payload.size())));
-    const Tick dma =
-        nic_.dmaOut_.chargeAt(begin, payload.size()) - begin;
-    nic_.fw_.chargeTicks(FwStage::PutData,
-                         fixed + std::max(touch, dma));
+    nic_.chargePutData(payload.size());
     std::copy(payload.begin(), payload.end(), dst);
     nic_.fw_.charge(FwStage::UpdateRx,
                     nic_.params_.costs.updateRxData);
@@ -222,17 +192,7 @@ RcEngine::executeRdmaRead(QpContext &qp, const net::RdmaHeader &hdr)
         sendRdmaResponse(qp, resp, {});
         return;
     }
-    // Get Data: stage the requested range from host memory into NIC
-    // SRAM for transmission (mirror of the transmit path).
-    const Tick begin = std::max(nic_.curTick(), nic_.fw_.busyUntil());
-    const Tick fixed = nic_.fw_.clock().cyclesToTicks(
-        nic_.params_.costs.getDataFixed);
-    const Tick touch = nic_.fw_.clock().cyclesToTicks(
-        static_cast<sim::Cycles>(nic_.params_.costs.touchPerByte *
-                                 static_cast<double>(hdr.length)));
-    const Tick dma = nic_.dmaIn_.chargeAt(begin, hdr.length) - begin;
-    nic_.fw_.chargeTicks(FwStage::GetData,
-                         fixed + std::max(touch, dma));
+    nic_.chargeGetData(hdr.length);
     nic_.rdmaReads.inc();
     if (nic_.tracer()->enabled()) {
         nic_.tracer()->instant(
@@ -272,56 +232,30 @@ RcEngine::completeRdmaOp(QpContext &qp, const net::RdmaHeader &hdr,
         qp.pendingRdma.front().first != hdr.opId) {
         sim::panic("qp%u: rdma response out of order", qp.num);
     }
-    SendWr wr = std::move(qp.pendingRdma.front().second);
+    const SendWr wr = std::move(qp.pendingRdma.front().second);
     qp.pendingRdma.pop_front();
 
-    Completion c;
-    c.wrId = wr.id;
-    c.qp = qp.num;
-    c.isSend = true;
-    c.opcode = wr.opcode;
-
+    WcStatus status = WcStatus::Success;
+    std::size_t byte_len = wr.sge.length;
     if (hdr.status != net::RdmaWireStatus::Ok) {
-        c.status = WcStatus::RemoteAccessError;
-        nic_.fw_.charge(FwStage::UpdateRx,
-                        nic_.params_.costs.updateRxData);
-        nic_.pushCompletion(qp.scq, c);
-        return;
-    }
-
-    if (hdr.opcode == net::RdmaOpcode::ReadResp) {
+        status = WcStatus::RemoteAccessError;
+        byte_len = 0;
+    } else if (hdr.opcode == net::RdmaOpcode::ReadResp) {
         std::uint8_t *dst = nic_.mrs_.resolve(wr.sge);
         if (dst == nullptr || payload.size() != wr.sge.length) {
             // Landing buffer vanished or the responder lied about
             // the length: surface it locally.
-            c.status = WcStatus::LengthError;
-            c.byteLen = payload.size();
-            nic_.fw_.charge(FwStage::UpdateRx,
-                            nic_.params_.costs.updateRxData);
-            nic_.pushCompletion(qp.scq, c);
-            return;
+            status = WcStatus::LengthError;
+            byte_len = payload.size();
+        } else {
+            // Put Data: land the read payload in the local buffer.
+            nic_.chargePutData(payload.size());
+            std::copy(payload.begin(), payload.end(), dst);
         }
-        // Put Data: land the read payload in the local buffer.
-        const Tick begin =
-            std::max(nic_.curTick(), nic_.fw_.busyUntil());
-        const Tick fixed = nic_.fw_.clock().cyclesToTicks(
-            nic_.params_.costs.putDataFixed);
-        const Tick touch = nic_.fw_.clock().cyclesToTicks(
-            static_cast<sim::Cycles>(
-                nic_.params_.costs.touchPerByte *
-                static_cast<double>(payload.size())));
-        const Tick dma =
-            nic_.dmaOut_.chargeAt(begin, payload.size()) - begin;
-        nic_.fw_.chargeTicks(FwStage::PutData,
-                             fixed + std::max(touch, dma));
-        std::copy(payload.begin(), payload.end(), dst);
     }
-
-    c.status = WcStatus::Success;
-    c.byteLen = wr.sge.length;
     nic_.fw_.charge(FwStage::UpdateRx,
                     nic_.params_.costs.updateRxData);
-    nic_.pushCompletion(qp.scq, c);
+    nic_.completeWr(qp, true, wr.id, wr.opcode, status, byte_len);
 }
 
 } // namespace qpip::nic

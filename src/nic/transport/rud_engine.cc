@@ -2,35 +2,16 @@
 
 #include <algorithm>
 
-#include "inet/udp.hh"
 #include "net/serialize.hh"
 #include "nic/transport/qp_context.hh"
 #include "sim/simulation.hh"
 
 namespace qpip::nic {
 
-using inet::IpDatagram;
-using inet::IpProto;
-
 RudEngine::Peer &
 RudEngine::peerFor(const QpContext &qp, const inet::SockAddr &peer)
 {
     return state_[qp.num][peer];
-}
-
-void
-RudEngine::emitFrame(QpContext &qp, const inet::SockAddr &to,
-                     const std::vector<std::uint8_t> &frame)
-{
-    nic_.fw_.charge(FwStage::BuildTcpHdr,
-                    nic_.params_.costs.buildUdpHdr);
-    IpDatagram dgram;
-    dgram.src = qp.local.addr;
-    dgram.dst = to.addr;
-    dgram.proto = IpProto::Udp;
-    dgram.payload = inet::serializeUdp(qp.local.addr, to.addr,
-                                       qp.local.port, to.port, frame);
-    nic_.inet_.ipOutput(std::move(dgram));
 }
 
 void
@@ -62,27 +43,12 @@ RudEngine::emitData(QpContext &qp, Peer &p, SendWr wr,
 
     // Oversize checks mirror the UD path: probe before committing a
     // sequence number so a rejected WR leaves no hole in the stream.
-    nic_.fw_.charge(FwStage::BuildTcpHdr,
-                    nic_.params_.costs.buildUdpHdr);
-    IpDatagram dgram;
-    dgram.src = qp.local.addr;
-    dgram.dst = wr.remote.addr;
-    dgram.proto = IpProto::Udp;
-    dgram.payload =
-        inet::serializeUdp(qp.local.addr, wr.remote.addr,
-                           qp.local.port, wr.remote.port, frame);
-    const auto res = nic_.inet_.ipOutput(std::move(dgram));
+    const auto res = emitUdp(qp, wr.remote, frame);
     nic_.fw_.charge(FwStage::UpdateTx,
                     nic_.params_.costs.updateTxData);
     if (res == inet::IpSendResult::MsgSize) {
-        Completion c;
-        c.wrId = wr.id;
-        c.qp = qp.num;
-        c.isSend = true;
-        c.opcode = wr.opcode;
-        c.status = WcStatus::LengthError;
-        c.byteLen = wr.sge.length;
-        nic_.pushCompletion(qp.scq, c);
+        nic_.completeWr(qp, true, wr.id, wr.opcode,
+                        WcStatus::LengthError, wr.sge.length);
         return;
     }
     p.window.push_back({h.seq, wr, std::move(frame)});
@@ -148,16 +114,10 @@ RudEngine::processAck(QpContext &qp, Peer &p,
                     nic_.params_.costs.rudAckProcess);
     p.ackedSeq = ack;
     while (!p.window.empty() && p.window.front().seq <= ack) {
-        Unacked u = std::move(p.window.front());
+        const SendWr &wr = p.window.front().wr;
+        nic_.completeWr(qp, true, wr.id, wr.opcode, WcStatus::Success,
+                        wr.sge.length);
         p.window.pop_front();
-        Completion c;
-        c.wrId = u.wr.id;
-        c.qp = qp.num;
-        c.isSend = true;
-        c.opcode = u.wr.opcode;
-        c.status = WcStatus::Success;
-        c.byteLen = u.wr.sge.length;
-        nic_.pushCompletion(qp.scq, c);
     }
     // Forward progress resets the backoff and restarts the timer
     // for whatever is still outstanding.
@@ -181,17 +141,7 @@ RudEngine::sendAck(QpContext &qp, Peer &p, const inet::SockAddr &to)
     net::RudHeader h;
     h.opcode = net::RudOpcode::Ack;
     h.ack = p.expectedSeq - 1;
-    const auto frame = net::serializeRudMessage(h, {});
-
-    nic_.fw_.charge(FwStage::BuildTcpHdr,
-                    nic_.params_.costs.buildUdpHdr);
-    IpDatagram dgram;
-    dgram.src = qp.local.addr;
-    dgram.dst = to.addr;
-    dgram.proto = IpProto::Udp;
-    dgram.payload = inet::serializeUdp(qp.local.addr, to.addr,
-                                       qp.local.port, to.port, frame);
-    nic_.inet_.ipOutput(std::move(dgram));
+    emitUdp(qp, to, net::serializeRudMessage(h, {}));
     nic_.fw_.charge(FwStage::UpdateTx,
                     nic_.params_.costs.updateTxAck);
     nic_.rudAcksSent.inc();
@@ -231,7 +181,7 @@ RudEngine::rtoFire(QpNum qp, const inet::SockAddr &to)
     // cumulative acks make that harmless.
     for (const Unacked &u : p.window) {
         nic_.rudRetransmits.inc();
-        emitFrame(*ctx, to, u.frame);
+        emitUdp(*ctx, to, u.frame);
         nic_.fw_.charge(FwStage::UpdateTx,
                         nic_.params_.costs.updateTxData);
     }
@@ -266,24 +216,10 @@ RudEngine::flushed(QpContext &qp, WcStatus status)
     for (auto &[addr, p] : qit->second) {
         if (p.rto.pending())
             p.rto.cancel();
-        for (const Unacked &u : p.window) {
-            Completion c;
-            c.wrId = u.wr.id;
-            c.qp = qp.num;
-            c.isSend = true;
-            c.opcode = u.wr.opcode;
-            c.status = status;
-            nic_.pushCompletion(qp.scq, c);
-        }
-        for (const PendingSend &ps : p.blocked) {
-            Completion c;
-            c.wrId = ps.wr.id;
-            c.qp = qp.num;
-            c.isSend = true;
-            c.opcode = ps.wr.opcode;
-            c.status = status;
-            nic_.pushCompletion(qp.scq, c);
-        }
+        for (const Unacked &u : p.window)
+            nic_.completeWr(qp, true, u.wr.id, u.wr.opcode, status);
+        for (const PendingSend &ps : p.blocked)
+            nic_.completeWr(qp, true, ps.wr.id, ps.wr.opcode, status);
     }
     state_.erase(qit);
 }

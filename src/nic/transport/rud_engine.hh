@@ -92,10 +92,6 @@ class RudEngine : public UdEngine
                 const inet::SockAddr &to);
     void rtoFire(QpNum qp, const inet::SockAddr &to);
 
-    /** Send one Data frame's UDP/IP encapsulation (fresh or retx). */
-    void emitFrame(QpipNic::QpContext &qp, const inet::SockAddr &to,
-                   const std::vector<std::uint8_t> &frame);
-
     /**
      * Per-QP, per-peer reliability state. Ordered maps: iteration
      * (replenish scans, flushes) must be deterministic.

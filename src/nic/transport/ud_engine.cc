@@ -9,36 +9,36 @@ namespace qpip::nic {
 using inet::IpDatagram;
 using inet::IpProto;
 
-void
-UdEngine::transmit(QpipNic::QpContext &qp, SendWr wr,
-                   std::vector<std::uint8_t> data)
+inet::IpSendResult
+UdEngine::emitUdp(QpipNic::QpContext &qp, const inet::SockAddr &to,
+                  std::span<const std::uint8_t> payload)
 {
-    // Build UDP Hdr (charged under the header-build stage).
     nic_.fw_.charge(FwStage::BuildTcpHdr,
                     nic_.params_.costs.buildUdpHdr);
     IpDatagram dgram;
     dgram.src = qp.local.addr;
-    dgram.dst = wr.remote.addr;
+    dgram.dst = to.addr;
     dgram.proto = IpProto::Udp;
-    dgram.payload =
-        inet::serializeUdp(qp.local.addr, wr.remote.addr,
-                           qp.local.port, wr.remote.port, data);
-    const auto res = nic_.inet_.ipOutput(std::move(dgram));
+    dgram.payload = inet::serializeUdp(qp.local.addr, to.addr,
+                                       qp.local.port, to.port, payload);
+    return nic_.inet_.ipOutput(std::move(dgram));
+}
 
+void
+UdEngine::transmit(QpipNic::QpContext &qp, SendWr wr,
+                   std::vector<std::uint8_t> data)
+{
+    const auto res = emitUdp(qp, wr.remote, data);
     // "As soon as a UDP message is sent, the associated send WR is
     // marked as complete." An oversized message reports the verbs
     // moral equivalent of EMSGSIZE.
     nic_.fw_.charge(FwStage::UpdateTx,
                     nic_.params_.costs.updateTxData);
-    Completion c;
-    c.wrId = wr.id;
-    c.qp = qp.num;
-    c.isSend = true;
-    c.status = res == inet::IpSendResult::MsgSize
-                   ? WcStatus::LengthError
-                   : WcStatus::Success;
-    c.byteLen = wr.sge.length;
-    nic_.pushCompletion(qp.scq, c);
+    nic_.completeWr(qp, true, wr.id, wr.opcode,
+                    res == inet::IpSendResult::MsgSize
+                        ? WcStatus::LengthError
+                        : WcStatus::Success,
+                    wr.sge.length);
 }
 
 void

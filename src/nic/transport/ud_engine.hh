@@ -29,6 +29,15 @@ class UdEngine : public TransportEngine
     /** Install / remove the UDP port demux entry. */
     void bound(QpipNic::QpContext &qp) override;
     void unbound(QpipNic::QpContext &qp) override;
+
+  protected:
+    /**
+     * Build UDP Hdr (charged under the header-build stage) and hand
+     * @p payload, addressed from @p qp to @p to, to IP output.
+     */
+    inet::IpSendResult emitUdp(QpipNic::QpContext &qp,
+                               const inet::SockAddr &to,
+                               std::span<const std::uint8_t> payload);
 };
 
 } // namespace qpip::nic

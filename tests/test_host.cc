@@ -183,8 +183,8 @@ TEST(HostSockets, MultiNicPerRouteEgressAndMtu)
     auto cli = h0.stack().udpBind(inet::SockAddr{a0, 5454});
     std::vector<std::vector<std::uint8_t>> got;
     auto waitOne = std::make_shared<std::function<void()>>();
-    *waitOne = [&, waitOne] {
-        srv->recvFrom([&, waitOne](UdpSocket::Datagram d) {
+    *waitOne = [&, self = std::weak_ptr(waitOne)] {
+        srv->recvFrom([&, waitOne = self.lock()](UdpSocket::Datagram d) {
             got.push_back(std::move(d.data));
             (*waitOne)();
         });

@@ -66,6 +66,11 @@ runOneWay(QpipTestbed &bed, std::size_t messages)
         if (c.isSend)
             (*send_next)();
     });
+    // Both CQ loops stay armed: release what they hold at teardown.
+    bed.atTeardown([rqp, send_next] {
+        rqp->reset();
+        *send_next = nullptr;
+    });
     (*send_next)();
     return bed.sim().runUntilCondition(
         [&] { return *received >= messages; },

@@ -229,22 +229,51 @@ TEST(Rdma, WriteWithoutRemoteWriteRightsFails)
                             [](std::uint8_t b) { return b == 0; }));
 }
 
+// raddr values whose range overruns a 4 KB target region: one just
+// past the end, and one a hostile peer picks so that raddr + length
+// wraps past 2^64 back into the region.
+constexpr std::uint64_t outOfBoundsRaddrs[] = {
+    4096 - 100, ~std::uint64_t{0} - 99};
+
 TEST(Rdma, WriteOutOfBoundsFails)
 {
-    QpipTestbed bed(2);
-    RdmaPair p(bed, nic::accessRemoteRw, 4096);
-    ASSERT_TRUE(p.ready());
+    for (const std::uint64_t raddr : outOfBoundsRaddrs) {
+        SCOPED_TRACE(raddr);
+        QpipTestbed bed(2);
+        RdmaPair p(bed, nic::accessRemoteRw, 4096);
+        ASSERT_TRUE(p.ready());
 
-    const auto msg = pattern(1024);
-    std::copy(msg.begin(), msg.end(), p.buf0.begin());
-    // raddr + length overruns the 4 KB target region.
-    ASSERT_TRUE(p.qp0->postWrite(1, *p.mr0, 0, msg.size(),
-                                 p.mr1->key(), 4096 - 100));
+        const auto msg = pattern(1024);
+        std::copy(msg.begin(), msg.end(), p.buf0.begin());
+        ASSERT_TRUE(p.qp0->postWrite(1, *p.mr0, 0, msg.size(),
+                                     p.mr1->key(), raddr));
 
-    Completion c;
-    ASSERT_TRUE(awaitCompletion(bed, *p.cq0, c));
-    EXPECT_EQ(c.status, WcStatus::RemoteAccessError);
-    EXPECT_EQ(bed.nicOf(1).rdmaRemoteErrors.value(), 1u);
+        Completion c;
+        ASSERT_TRUE(awaitCompletion(bed, *p.cq0, c));
+        EXPECT_EQ(c.status, WcStatus::RemoteAccessError);
+        EXPECT_EQ(bed.nicOf(1).rdmaRemoteErrors.value(), 1u);
+        EXPECT_EQ(bed.nicOf(1).rdmaWrites.value(), 0u);
+    }
+}
+
+TEST(Rdma, ReadOutOfBoundsFails)
+{
+    for (const std::uint64_t raddr : outOfBoundsRaddrs) {
+        SCOPED_TRACE(raddr);
+        QpipTestbed bed(2);
+        RdmaPair p(bed, nic::accessRemoteRw, 4096);
+        ASSERT_TRUE(p.ready());
+
+        ASSERT_TRUE(p.qp0->postRead(1, *p.mr0, 0, 1024, p.mr1->key(),
+                                    raddr));
+
+        Completion c;
+        ASSERT_TRUE(awaitCompletion(bed, *p.cq0, c));
+        EXPECT_EQ(c.status, WcStatus::RemoteAccessError);
+        EXPECT_EQ(c.opcode, nic::WrOpcode::RdmaRead);
+        EXPECT_EQ(bed.nicOf(1).rdmaRemoteErrors.value(), 1u);
+        EXPECT_EQ(bed.nicOf(1).rdmaReads.value(), 0u);
+    }
 }
 
 TEST(Rdma, ReadWithBogusRkeyFails)
@@ -480,7 +509,9 @@ TEST(QpCtxCache, MissesAndEvictionsAreCounted)
     bed.sim().runFor(10 * sim::oneMs);
     EXPECT_GE(cache.misses.value(), 1u);
     EXPECT_GE(cache.evictions.value(), 2u);
-    EXPECT_GE(bed.nicOf(0).ctxWritebacks.value(), 1u);
+    // Every displaced context is written back exactly once.
+    EXPECT_EQ(bed.nicOf(0).ctxWritebacks.value(),
+              cache.evictions.value());
 }
 
 TEST(QpCtxCache, DisabledCacheCountsNothing)
@@ -505,90 +536,63 @@ TEST(QpCtxCache, DisabledCacheCountsNothing)
     EXPECT_EQ(cache.evictions.value(), 0u);
 }
 
-TEST(QpCtxCache, ByteModeEvictsBySizeWithDirtyTracking)
+TEST(QpCtxCache, LruPromotesOnTouchAndEvictsTheLruEntry)
 {
-    // 1 KB of context SRAM, denominated in bytes.
-    nic::QpContextCache cache(0, 1024);
-    EXPECT_TRUE(cache.byteMode());
+    nic::QpContextCache cache(3);
     EXPECT_TRUE(cache.enabled());
 
-    // Two full-size RC contexts fill it exactly; no evictions.
-    EXPECT_EQ(cache.install(1, 512).evictedCount, 0u);
-    EXPECT_EQ(cache.install(2, 512).evictedCount, 0u);
-    EXPECT_EQ(cache.usedBytes(), 1024u);
+    // Installs warm the cache without counting a miss (or a hit).
+    for (nic::QpNum q = 1; q <= 3; ++q) {
+        const auto t = cache.install(q);
+        EXPECT_TRUE(t.hit);
+        EXPECT_FALSE(t.writeback);
+    }
+    EXPECT_EQ(cache.size(), 3u);
+    EXPECT_EQ(cache.misses.value(), 0u);
+    EXPECT_EQ(cache.hits.value(), 0u);
 
-    // A third RC context displaces the LRU (qp1). Installed contexts
-    // are dirty by definition, so the victim owes its bytes back.
-    const auto t3 = cache.install(3, 512);
-    EXPECT_EQ(t3.evictedCount, 1u);
-    EXPECT_EQ(t3.evicted, 1u);
-    EXPECT_EQ(t3.dirtyEvictions, 1u);
-    EXPECT_EQ(t3.writebackBytes, 512u);
-    EXPECT_FALSE(cache.resident(1));
+    // Touching qp1 promotes it to MRU: LRU order is now 2, 3, 1.
+    EXPECT_TRUE(cache.touch(1).hit);
 
-    // Four UD-size fetches fit in the space of one RC block: the
-    // first displaces qp2, the rest land free.
-    const auto t4 = cache.touch(4, 128, /*dirty=*/false);
-    EXPECT_FALSE(t4.hit);
-    EXPECT_EQ(t4.fetchBytes, 128u);
-    EXPECT_EQ(t4.evictedCount, 1u);
-    for (nic::QpNum q = 5; q <= 7; ++q)
-        EXPECT_EQ(cache.touch(q, 128, false).evictedCount, 0u);
-    EXPECT_EQ(cache.usedBytes(), 512u + 4 * 128u);
-
-    // Shelter the dirty RC block at the MRU position, then fetch
-    // another RC-size block: it displaces all four small victims at
-    // once — and because they were clean (read-only touches), none
-    // of them owes a writeback.
-    EXPECT_TRUE(cache.touch(3, 512, false).hit);
-    const auto t8 = cache.touch(8, 512, true);
-    EXPECT_FALSE(t8.hit);
-    EXPECT_EQ(t8.evictedCount, 4u);
-    EXPECT_EQ(t8.dirtyEvictions, 0u);
-    EXPECT_EQ(t8.writebackBytes, 0u);
-
-    // The sheltered dirty block pays its writeback when it finally
-    // goes: a fetch that displaces it reports the 512 dirty bytes.
-    const auto t9 = cache.touch(9, 128, false);
-    EXPECT_FALSE(t9.hit);
-    EXPECT_EQ(t9.dirtyEvictions, 1u);
-    EXPECT_EQ(t9.writebackBytes, 512u);
-
-    // A clean resident entry turns dirty on a dirty re-touch.
-    EXPECT_FALSE(cache.dirty(9));
-    EXPECT_TRUE(cache.touch(9, 128, true).hit);
-    EXPECT_TRUE(cache.dirty(9));
-}
-
-TEST(QpCtxCache, ByteCapacityParamDrivesNicCache)
-{
-    nic::QpipNicParams params;
-    // Room for exactly two UD contexts (128 B each).
-    params.qpCacheBytes = 256;
-    QpipTestbed bed(2, qpipNativeMtu, 1, params);
-
-    auto &prov = bed.provider(0);
-    auto cq = prov.createCq();
-    auto a = prov.createQp(nic::QpType::UnreliableUdp, cq, cq);
-    auto b = prov.createQp(nic::QpType::UnreliableUdp, cq, cq);
-    auto c = prov.createQp(nic::QpType::UnreliableUdp, cq, cq);
-    a->bind(9000);
-    b->bind(9001);
-    c->bind(9002);
-    bed.sim().runFor(10 * sim::oneMs);
-
-    const auto &cache = bed.nicOf(0).qpCache();
-    EXPECT_TRUE(cache.byteMode());
-    EXPECT_LE(cache.usedBytes(), 256u);
-    // Creating the third UD context displaced the first.
+    // A miss displaces the LRU entry, qp2, which owes one writeback.
+    auto t = cache.touch(4);
+    EXPECT_FALSE(t.hit);
+    EXPECT_TRUE(t.writeback);
     EXPECT_EQ(cache.evictions.value(), 1u);
+    EXPECT_EQ(cache.size(), 3u);
 
-    std::vector<std::uint8_t> buf(4096);
-    auto mr = prov.registerMemory(buf);
-    ASSERT_TRUE(a->postSend(1, *mr, 0, 64, bed.addr(1, 9100)));
-    bed.sim().runFor(10 * sim::oneMs);
-    EXPECT_GE(cache.misses.value(), 1u);
-    EXPECT_GE(bed.nicOf(0).ctxWritebacks.value(), 1u);
+    // The survivors still hit (LRU order afterwards: 3, 1, 4) ...
+    EXPECT_TRUE(cache.touch(3).hit);
+    EXPECT_TRUE(cache.touch(1).hit);
+    EXPECT_TRUE(cache.touch(4).hit);
+    // ... and the victim misses, displacing the new LRU entry, qp3.
+    t = cache.touch(2);
+    EXPECT_FALSE(t.hit);
+    EXPECT_TRUE(t.writeback);
+    EXPECT_TRUE(cache.touch(1).hit);
+    EXPECT_TRUE(cache.touch(4).hit);
+    EXPECT_TRUE(cache.touch(2).hit);
+    EXPECT_EQ(cache.misses.value(), 2u);
+    EXPECT_EQ(cache.evictions.value(), 2u);
+
+    // An install into a full cache evicts the LRU entry (qp1) too,
+    // still without counting a miss.
+    t = cache.install(5);
+    EXPECT_TRUE(t.hit);
+    EXPECT_TRUE(t.writeback);
+    EXPECT_EQ(cache.evictions.value(), 3u);
+    EXPECT_EQ(cache.misses.value(), 2u);
+
+    // remove() frees a slot: the next fetch displaces nothing.
+    cache.remove(4);
+    EXPECT_EQ(cache.size(), 2u);
+    t = cache.touch(1);
+    EXPECT_FALSE(t.hit);
+    EXPECT_FALSE(t.writeback);
+    EXPECT_EQ(cache.size(), 3u);
+    EXPECT_EQ(cache.evictions.value(), 3u);
+    EXPECT_EQ(cache.hits.value(), 7u);
+    EXPECT_EQ(cache.misses.value(), 3u);
 }
 
 // ---------------------------------------------------------------------
