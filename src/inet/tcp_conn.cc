@@ -64,6 +64,7 @@ TcpConnection::transition(TcpState next)
     state_ = next;
     if (prev == next)
         return;
+    receiveStateChanged();
     sim::Tracer *tr = env_.tracer();
     if (tr != nullptr && tr->enabled()) {
         tr->instant("tcp",
@@ -279,6 +280,7 @@ TcpConnection::emitSegment(const OutSpec &spec)
     }
     if (hdr.has(tcpflags::syn))
         rcvAdvertised_ = rcvNxt_ + adv;
+    receiveStateChanged();
 
     IpDatagram dgram;
     dgram.src = tuple_.local.addr;
@@ -1031,6 +1033,7 @@ TcpConnection::deliverInOrder(std::span<const std::uint8_t> payload)
 {
     rcvNxt_ += static_cast<std::uint32_t>(payload.size());
     rcvOffset_ += payload.size();
+    receiveStateChanged();
     observer_.onDataDelivered(*this, payload);
 }
 
@@ -1055,10 +1058,12 @@ TcpConnection::processData(const TcpHeader &hdr,
                 stats_.msgRefused.inc();
                 heldMessage_.assign(payload.begin(), payload.end());
                 holdingMessage_ = true;
+                receiveStateChanged();
                 return;
             }
             rcvNxt_ += static_cast<std::uint32_t>(payload.size());
             rcvOffset_ += payload.size();
+            receiveStateChanged();
             observer_.onMessage(
                 *this,
                 std::vector<std::uint8_t>(payload.begin(), payload.end()));
@@ -1175,6 +1180,30 @@ TcpConnection::onReceiveWindowGrew()
          rcvAdvertised_ - rcvNxt_ < effMss())) {
         sendAck();
     }
+}
+
+std::uint64_t
+TcpConnection::windowGrowthThreshold() const
+{
+    if (state_ == TcpState::Closed)
+        return windowNeverActs;
+    if (holdingMessage_)
+        return 0;
+    if (!established() && state_ != TcpState::CloseWait)
+        return windowNeverActs;
+    // onReceiveWindowGrew's update test for window w, with A the
+    // advertised room left: the edge passes the advertised one
+    // (w > A) and either moves by two segments (w >= A + 2 mss) or
+    // the room could not carry a segment (A < mss).
+    const std::uint32_t room = rcvAdvertised_ - rcvNxt_;
+    const std::int64_t mss = effMss();
+    if (room < mss)
+        return std::uint64_t(room) + 1;
+    // Otherwise A >= mss, or rcvNxt ran past the advertised edge (A
+    // negative as a sequence difference).
+    const std::int64_t a = static_cast<std::int32_t>(room);
+    return static_cast<std::uint64_t>(
+        std::max<std::int64_t>(0, a + 2 * mss));
 }
 
 // --------------------------------------------------------------------

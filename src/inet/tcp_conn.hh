@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -195,6 +196,13 @@ class TcpObserver
      * sockets, total posted receive-WR bytes for QPIP.
      */
     virtual std::uint32_t receiveWindow(TcpConnection &) = 0;
+
+    /**
+     * An input of TcpConnection::windowGrowthThreshold() changed:
+     * rcvNxt, the advertised right edge, the held message or the
+     * state. Only connections armed with watchReceiveState() call it.
+     */
+    virtual void onReceiveStateChanged(TcpConnection &) {}
 };
 
 /** Counters exposed for tests and the occupancy/ablation benches. */
@@ -287,6 +295,30 @@ class TcpConnection
      */
     void onReceiveWindowGrew();
 
+    /** windowGrowthThreshold() when no window makes it act. */
+    static constexpr std::uint64_t windowNeverActs =
+        std::numeric_limits<std::uint64_t>::max();
+
+    /**
+     * The smallest receive window (what TcpObserver::receiveWindow
+     * returns) at which onReceiveWindowGrew() acts: re-offers a held
+     * message or sends a window update. 0 while a message is held
+     * (the re-offer is the action); windowNeverActs when closed, or
+     * when neither established nor in CloseWait. Depends only on
+     * rcvNxt, the advertised edge, the held flag, the state and
+     * effMss(). Exact for every window whose new edge lies less than
+     * 2^31 bytes past the advertised one (the span sequence
+     * comparisons cover); beyond that it stays a lower bound.
+     */
+    std::uint64_t windowGrowthThreshold() const;
+
+    /**
+     * Report every change to windowGrowthThreshold()'s inputs via
+     * TcpObserver::onReceiveStateChanged. Off by default: unwatched
+     * connections pay one untaken branch per change.
+     */
+    void watchReceiveState() { watchRcvState_ = true; }
+
     TcpState state() const { return state_; }
     bool established() const { return state_ == TcpState::Established; }
     const FourTuple &tuple() const { return tuple_; }
@@ -376,6 +408,14 @@ class TcpConnection
     /** Move to @p next, emitting a trace instant when tracing is on. */
     void transition(TcpState next);
 
+    /** The one notification point for windowGrowthThreshold() inputs. */
+    void
+    receiveStateChanged()
+    {
+        if (watchRcvState_)
+            observer_.onReceiveStateChanged(*this);
+    }
+
     TcpEnv &env_;
     TcpObserver &observer_;
     TcpConfig cfg_;
@@ -436,6 +476,7 @@ class TcpConnection
     // Deferred in-order message retained while no WR was posted.
     std::vector<std::uint8_t> heldMessage_;
     bool holdingMessage_ = false;
+    bool watchRcvState_ = false;
 
     // Close handshake.
     bool finQueued_ = false;  ///< user asked to close

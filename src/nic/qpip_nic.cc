@@ -87,6 +87,7 @@ QpipNic::QpipNic(sim::Simulation &sim, std::string name, net::Link &link,
     regStat("rdma.malformed", rdmaMalformed);
     regStat("srq.rnrHolds", srqRnrHolds);
     regStat("srq.emptyDrops", srqEmptyDrops);
+    regStat("srq.replenishVisits", srqReplenishVisits);
     regStat("rud.retransmits", rudRetransmits);
     regStat("rud.acksSent", rudAcksSent);
     regStat("rud.seqDrops", rudSeqDrops);
@@ -171,7 +172,9 @@ QpipNic::createQp(QpType type, QpHostRings *rings, CqRing *scq,
         if (it == srqs_.end())
             sim::fatal("createQp: unknown srq %u", attrs.srq);
         ctx->srq = it->second.get();
-        ctx->srq->attached.push_back(ctx.get());
+        ctx->srqSeq = ctx->srq->nextAttachSeq++;
+        ctx->srq->attached.emplace(
+            std::make_pair(ctx->srqThreshold, ctx->srqSeq), ctx.get());
     }
     if (attrs.rdmaWindowBytes > 0) {
         if (type != QpType::ReliableTcp)
@@ -200,10 +203,8 @@ QpipNic::destroyQp(QpNum qp)
     if (ctx->bound)
         engineFor(ctx->type).unbound(*ctx);
     flushQp(*ctx, WcStatus::Flushed);
-    if (ctx->srq != nullptr) {
-        auto &att = ctx->srq->attached;
-        att.erase(std::remove(att.begin(), att.end(), ctx), att.end());
-    }
+    if (ctx->srq != nullptr)
+        ctx->srq->attached.erase({ctx->srqThreshold, ctx->srqSeq});
     qpCache_.remove(qp);
     qps_.erase(qp);
 }
@@ -267,6 +268,8 @@ QpipNic::connect(QpNum qp, const inet::SockAddr &remote, ConnectCb done)
                  }
                  ctx->conn = std::make_unique<inet::TcpConnection>(
                      inet_, *ctx, params_.tcp);
+                 if (ctx->srq != nullptr)
+                     ctx->conn->watchReceiveState();
                  ctx->conn->stats().registerIn(
                      statRegistry(), name() + ".qp" +
                                          std::to_string(ctx->num) +
@@ -368,12 +371,8 @@ QpipNic::doorbellDrain()
                     ++srq.postedCount;
                     srq.postedBytes += wr.sge.length;
                 }
-                if (fresh > 0) {
-                    // Replenish fan-out, in attach order: any held
-                    // message on an attached transport may land now.
-                    for (auto *ctx : srq.attached)
-                        engineFor(ctx->type).recvReplenished(*ctx);
-                }
+                if (fresh > 0)
+                    replenishSrq(srq);
             }
         } else if (auto *ctx = lookupQp(db.qp); ctx != nullptr) {
             touchQpContext(db.qp);
@@ -409,6 +408,55 @@ QpipNic::doorbellDrain()
         }
         doorbellDrain();
     });
+}
+
+void
+QpipNic::replenishSrq(SrqContext &srq)
+{
+    // Visiting every attached QP in attach order would be exact; the
+    // ones keyed above postedBytes cannot act, because postedBytes
+    // only falls during the pass and only the visited QP's threshold
+    // moves (srqRekey checks this). So visit the index prefix, sorted
+    // back into attach order.
+    auto &pass = srq.pass;
+    pass.clear();
+    for (auto it = srq.attached.begin();
+         it != srq.attached.end() && it->first.first <= srq.postedBytes;
+         ++it)
+        pass.emplace_back(it->first.second, it->second);
+    std::sort(pass.begin(), pass.end(), [](const auto &a, const auto &b) {
+        return a.first < b.first;
+    });
+    for (const auto &[seq, ctx] : pass) {
+        srq.visiting = ctx;
+        srqReplenishVisits.inc();
+        engineFor(ctx->type).recvReplenished(*ctx);
+        srqRekey(*ctx);
+    }
+    srq.visiting = nullptr;
+}
+
+void
+QpipNic::srqRekey(QpContext &qp)
+{
+    if (qp.srq == nullptr)
+        return;
+    SrqContext &srq = *qp.srq;
+    const std::uint64_t t = engineFor(qp.type).replenishThreshold(qp);
+    if (t == qp.srqThreshold)
+        return;
+    // Everything a visited QP emits leaves through scheduled events
+    // (wire transmit, WR delivery, completions; the NIC's IP stack
+    // has no local address to loop back to), so no other QP can
+    // change state inside a replenish pass.
+    if (srq.visiting != nullptr && srq.visiting != &qp) {
+        sim::panic("qp%u re-keyed inside qp%u's SRQ replenish", qp.num,
+                   srq.visiting->num);
+    }
+    auto node = srq.attached.extract({qp.srqThreshold, qp.srqSeq});
+    node.key().first = t;
+    srq.attached.insert(std::move(node));
+    qp.srqThreshold = t;
 }
 
 void
@@ -656,6 +704,8 @@ QpipNic::tcpAccept(const inet::FourTuple &t, const inet::TcpHeader &syn)
     }
     ctx->conn = std::make_unique<inet::TcpConnection>(inet_, *ctx,
                                                       params_.tcp);
+    if (ctx->srq != nullptr)
+        ctx->conn->watchReceiveState();
     ctx->conn->stats().registerIn(
         statRegistry(),
         name() + ".qp" + std::to_string(ctx->num) + ".tcp");

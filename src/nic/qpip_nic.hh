@@ -272,6 +272,7 @@ class QpipNic : public sim::SimObject,
     // Shared receive queues.
     sim::Counter srqRnrHolds;   ///< messages held: SRQ empty
     sim::Counter srqEmptyDrops; ///< UD datagrams dropped: SRQ empty
+    sim::Counter srqReplenishVisits; ///< QPs offered an SRQ replenish
     // QP context cache (evictions are counted by the cache itself).
     sim::Counter ctxWritebacks;
     // Reliable-datagram shim.
@@ -296,6 +297,18 @@ class QpipNic : public sim::SimObject,
     void serviceSendWr(QpContext &qp);
     void receiveIntoWr(QpContext &qp, std::vector<std::uint8_t> msg,
                        const inet::SockAddr &from);
+
+    /**
+     * Fresh WRs on @p srq: call recvReplenished on every attached QP
+     * that can act on them, in attach order.
+     */
+    void replenishSrq(SrqContext &srq);
+
+    /**
+     * @p qp's replenish threshold may have changed: re-key it in its
+     * SRQ's index (no-op for QPs without an SRQ).
+     */
+    void srqRekey(QpContext &qp);
 
     /** The per-service-type datapath tail for @p type. */
     TransportEngine &engineFor(QpType type);

@@ -12,6 +12,9 @@
 #pragma once
 
 #include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "nic/qpip_nic.hh"
 #include "nic/transport/rc_engine.hh"
@@ -20,11 +23,16 @@ namespace qpip::nic {
 
 /**
  * NIC-side state of one shared receive queue: the doorbell-FSM shadow
- * of the host ring plus the attach list (in attach order, so window
- * redelivery after a replenish is deterministic). SRQ contexts are
- * pinned in SRAM — they are shared infrastructure like the demux
- * table, not per-QP state, so they don't flow through the QP context
- * cache.
+ * of the host ring plus the attached QPs. SRQ contexts are pinned in
+ * SRAM — they are shared infrastructure like the demux table, not
+ * per-QP state, so they don't flow through the QP context cache.
+ *
+ * A replenish offers the new WRs only to the attached QPs that can act
+ * on them, in attach order (QpipNic::replenishSrq). `attached` keys
+ * each QP by (replenish threshold, attach sequence): the threshold is
+ * the least postedBytes at which its engine's recvReplenished could
+ * act (TransportEngine::replenishThreshold), kept current by
+ * QpipNic::srqRekey, so the QPs to visit are a prefix of the index.
  */
 struct QpipNic::SrqContext
 {
@@ -34,7 +42,14 @@ struct QpipNic::SrqContext
     std::uint64_t consumed = 0;
     std::uint32_t postedCount = 0;
     std::uint64_t postedBytes = 0;
-    std::vector<QpContext *> attached;
+    /** (threshold, attach sequence) -> QP; see above. */
+    std::map<std::pair<std::uint64_t, std::uint64_t>, QpContext *>
+        attached;
+    std::uint64_t nextAttachSeq = 0;
+    /** QPs a replenish visits, as (attach sequence, QP). */
+    std::vector<std::pair<std::uint64_t, QpContext *>> pass;
+    /** The QP a replenish is visiting, else null. */
+    QpContext *visiting = nullptr;
 };
 
 struct QpipNic::QpContext : public inet::TcpObserver,
@@ -54,6 +69,9 @@ struct QpipNic::QpContext : public inet::TcpObserver,
 
     /** Receive WRs come from here instead of rings->recvQ when set. */
     SrqContext *srq = nullptr;
+    /** This QP's key in srq->attached. */
+    std::uint64_t srqThreshold = TransportEngine::neverReplenishes;
+    std::uint64_t srqSeq = 0;
     /** Non-zero: RDMA framing on, one-sided window in bytes. */
     std::uint32_t rdmaWindow = 0;
 
@@ -202,6 +220,12 @@ struct QpipNic::QpContext : public inet::TcpObserver,
     {
         connected = false;
         nic.flushQp(*this, WcStatus::Flushed);
+    }
+
+    void
+    onReceiveStateChanged(inet::TcpConnection &) override
+    {
+        nic.srqRekey(*this);
     }
 
     std::uint32_t

@@ -11,7 +11,7 @@ namespace qpip::nic {
 RudEngine::Peer &
 RudEngine::peerFor(const QpContext &qp, const inet::SockAddr &peer)
 {
-    return state_[qp.num][peer];
+    return state_[qp.num].peers[peer];
 }
 
 void
@@ -69,12 +69,13 @@ RudEngine::datagramDeliver(QpContext &qp,
         nic_.rudMalformed.inc();
         return;
     }
-    Peer &p = peerFor(qp, from);
+    QpPeers &qs = state_[qp.num];
+    Peer &p = qs.peers[from];
     processAck(qp, p, from, h.ack);
     if (h.opcode == net::RudOpcode::Ack)
         return;
 
-    if (h.seq != p.expectedSeq || p.holding) {
+    if (h.seq != p.expectedSeq || qs.holding.contains(from)) {
         // Go-back-N receiver: anything but the next in-order
         // sequence is dropped; the sender's timer recovers it. A
         // duplicate of old data still earns an ack so a sender whose
@@ -93,8 +94,9 @@ RudEngine::datagramDeliver(QpContext &qp,
             nic_.srqRnrHolds.inc();
         else
             nic_.rudRnrHolds.inc();
-        p.holding = true;
         p.held.assign(payload.begin(), payload.end());
+        qs.holding.insert(from);
+        nic_.srqRekey(qp);
         return;
     }
     ++p.expectedSeq;
@@ -168,8 +170,8 @@ RudEngine::rtoFire(QpNum qp, const inet::SockAddr &to)
     auto qit = state_.find(qp);
     if (qit == state_.end())
         return;
-    auto pit = qit->second.find(to);
-    if (pit == qit->second.end())
+    auto pit = qit->second.peers.find(to);
+    if (pit == qit->second.peers.end())
         return;
     Peer &p = pit->second;
     if (p.window.empty())
@@ -194,17 +196,26 @@ RudEngine::recvReplenished(QpContext &qp)
     auto qit = state_.find(qp.num);
     if (qit == state_.end())
         return;
-    for (auto &[addr, p] : qit->second) {
-        if (!p.holding)
-            continue;
-        if (!qp.recvWrAvailable())
-            break;
-        p.holding = false;
+    // Holding peers only, in address order.
+    auto &holding = qit->second.holding;
+    while (!holding.empty() && qp.recvWrAvailable()) {
+        const inet::SockAddr addr = *holding.begin();
+        holding.erase(holding.begin());
+        Peer &p = qit->second.peers.at(addr);
         ++p.expectedSeq;
         nic_.receiveIntoWr(qp, std::move(p.held), addr);
         p.held = {};
         sendAck(qp, p, addr);
     }
+}
+
+std::uint64_t
+RudEngine::replenishThreshold(const QpContext &qp) const
+{
+    auto qit = state_.find(qp.num);
+    return qit != state_.end() && !qit->second.holding.empty()
+               ? 0
+               : neverReplenishes;
 }
 
 void
@@ -213,7 +224,7 @@ RudEngine::flushed(QpContext &qp, WcStatus status)
     auto qit = state_.find(qp.num);
     if (qit == state_.end())
         return;
-    for (auto &[addr, p] : qit->second) {
+    for (auto &[addr, p] : qit->second.peers) {
         if (p.rto.pending())
             p.rto.cancel();
         for (const Unacked &u : p.window)
@@ -222,6 +233,7 @@ RudEngine::flushed(QpContext &qp, WcStatus status)
             nic_.completeWr(qp, true, ps.wr.id, ps.wr.opcode, status);
     }
     state_.erase(qit);
+    nic_.srqRekey(qp);
 }
 
 } // namespace qpip::nic

@@ -23,6 +23,7 @@
 
 #include <deque>
 #include <map>
+#include <set>
 
 #include "nic/transport/ud_engine.hh"
 #include "sim/event_queue.hh"
@@ -43,6 +44,9 @@ class RudEngine : public UdEngine
                          std::vector<std::uint8_t> &&msg,
                          const inet::SockAddr &from) override;
     void recvReplenished(QpipNic::QpContext &qp) override;
+    /** 0 while any peer holds data for want of a WR, else never. */
+    std::uint64_t
+    replenishThreshold(const QpipNic::QpContext &qp) const override;
     void flushed(QpipNic::QpContext &qp, WcStatus status) override;
 
     // bound()/unbound() inherit the UD engine's port demux plumbing.
@@ -76,8 +80,19 @@ class RudEngine : public UdEngine
 
         // Receiver side.
         std::uint32_t expectedSeq = 1; ///< next in-order sequence
-        bool holding = false; ///< in-order data parked: no recv WR
+        /** Data parked for want of a recv WR (peer in QpPeers::holding). */
         std::vector<std::uint8_t> held;
+    };
+
+    /**
+     * One QP's peer records, plus the addresses of the peers holding
+     * data, so a replenish visits only them. Ordered: iteration
+     * (replenish, flush) must be deterministic.
+     */
+    struct QpPeers
+    {
+        std::map<inet::SockAddr, Peer> peers;
+        std::set<inet::SockAddr> holding;
     };
 
     Peer &peerFor(const QpipNic::QpContext &qp,
@@ -92,11 +107,8 @@ class RudEngine : public UdEngine
                 const inet::SockAddr &to);
     void rtoFire(QpNum qp, const inet::SockAddr &to);
 
-    /**
-     * Per-QP, per-peer reliability state. Ordered maps: iteration
-     * (replenish scans, flushes) must be deterministic.
-     */
-    std::map<QpNum, std::map<inet::SockAddr, Peer>> state_;
+    /** Per-QP, per-peer reliability state. */
+    std::map<QpNum, QpPeers> state_;
 };
 
 } // namespace qpip::nic

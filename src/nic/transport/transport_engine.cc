@@ -32,6 +32,20 @@ TransportEngine::recvReplenished(QpipNic::QpContext &qp)
         qp.conn->onReceiveWindowGrew();
 }
 
+std::uint64_t
+TransportEngine::replenishThreshold(const QpipNic::QpContext &qp) const
+{
+    if (!qp.conn)
+        return neverReplenishes;
+    const std::uint64_t w = qp.conn->windowGrowthThreshold();
+    if (w == inet::TcpConnection::windowNeverActs)
+        return neverReplenishes;
+    // The window is min(postedBytes + rdmaWindow, 2^32 - 1) and w is
+    // below the clamp, so the window reaches w exactly when the posted
+    // bytes reach w - rdmaWindow.
+    return w > qp.rdmaWindow ? w - qp.rdmaWindow : 0;
+}
+
 void
 TransportEngine::flushed(QpipNic::QpContext &, WcStatus)
 {

@@ -18,6 +18,8 @@
 
 #pragma once
 
+#include <limits>
+
 #include "nic/qpip_nic.hh"
 
 namespace qpip::nic {
@@ -63,6 +65,19 @@ class TransportEngine
      * now.
      */
     virtual void recvReplenished(QpipNic::QpContext &qp);
+
+    /** replenishThreshold() of a QP no replenish can move. */
+    static constexpr std::uint64_t neverReplenishes =
+        std::numeric_limits<std::uint64_t>::max();
+
+    /**
+     * The least posted-receive byte count of @p qp's SRQ at which
+     * recvReplenished(qp) could act (deliver held data or send
+     * anything); neverReplenishes if none. A function of the QP's own
+     * state, which the engine reports changing via QpipNic::srqRekey.
+     */
+    virtual std::uint64_t
+    replenishThreshold(const QpipNic::QpContext &qp) const;
 
     /**
      * @p qp is flushing (destroy / reset / close): surface engine-

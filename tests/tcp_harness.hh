@@ -99,6 +99,7 @@ class TcpTestNode : public inet::TcpEnv, public inet::TcpObserver
     bool reset = false;
     int sendSpaceEvents = 0;
     int segmentsDelivered = 0;
+    int acceptQueries = 0; ///< canAcceptMessage calls
 
     // --- TcpEnv ----------------------------------------------------------
     sim::Tick now() override { return sim_.now(); }
@@ -153,6 +154,7 @@ class TcpTestNode : public inet::TcpEnv, public inet::TcpObserver
     canAcceptMessage(inet::TcpConnection &,
                      std::span<const std::uint8_t>) override
     {
+        ++acceptQueries;
         return acceptMessages;
     }
 

@@ -338,6 +338,107 @@ INSTANTIATE_TEST_SUITE_P(
                       LossCase{5, 0.02}, LossCase{6, 0.05}));
 
 // ---------------------------------------------------------------------
+// Message-mode receive side: windowGrowthThreshold() is exactly the
+// least window at which onReceiveWindowGrew() acts
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Drive a message-mode pair into a random receive state on the
+ * server: random ISSs (sequence wrap), MSS on each side, posted
+ * windows that change mid-transfer, held messages, half- and full
+ * closes, stopped at a random instant. Same @p seed, same state.
+ */
+std::unique_ptr<TcpPair>
+randomReceiveState(std::uint64_t seed)
+{
+    sim::Random rng(seed);
+    auto ccfg = messageConfig();
+    auto scfg = messageConfig();
+    ccfg.mss = static_cast<std::uint32_t>(rng.uniformInt(536, 16384));
+    scfg.mss = static_cast<std::uint32_t>(rng.uniformInt(536, 16384));
+    scfg.windowScale = static_cast<std::uint8_t>(rng.uniformInt(0, 8));
+    scfg.delayedAck = rng.bernoulli(0.5);
+    auto p = std::make_unique<TcpPair>(ccfg, scfg, seed);
+    p->client.issOverride = static_cast<std::uint32_t>(rng.next());
+    p->server.issOverride = static_cast<std::uint32_t>(rng.next());
+    auto window = [&] {
+        return static_cast<std::uint32_t>(
+            rng.bernoulli(0.5) ? rng.uniformInt(0, 40000)
+                               : rng.uniformInt(0, 1u << 22));
+    };
+    p->server.window = window();
+    if (!p->establish())
+        return p;
+    const auto msgs = rng.uniformInt(0, 6);
+    for (std::uint64_t m = 0; m < msgs; ++m) {
+        const auto len = rng.uniformInt(1, 20000);
+        p->client.conn().sendMessage(
+            std::vector<std::uint8_t>(len, std::uint8_t(m)), m + 1);
+    }
+    p->server.acceptMessages = rng.bernoulli(0.7);
+    if (rng.bernoulli(0.3))
+        p->client.conn().close();
+    p->sim.runFor(rng.uniformInt(0, 400) * sim::oneUs);
+    p->server.window = window();
+    if (rng.bernoulli(0.2))
+        p->server.conn().close();
+    p->sim.runFor(rng.uniformInt(0, 3000) * sim::oneUs);
+    return p;
+}
+
+} // namespace
+
+TEST(WindowThresholdProperty, ThresholdIsTheLeastWindowThatActs)
+{
+    constexpr std::uint64_t never = inet::TcpConnection::windowNeverActs;
+    int held = 0, blocked = 0, finite = 0;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        std::uint64_t t;
+        {
+            auto p = randomReceiveState(seed);
+            ASSERT_TRUE(p->server.hasConn()) << "seed " << seed;
+            t = p->server.conn().windowGrowthThreshold();
+        }
+        held += t == 0;
+        blocked += t == never;
+        finite += t != 0 && t != never;
+
+        sim::Random rng(seed * 7919);
+        std::vector<std::uint64_t> windows{0, 1, 1u << 30};
+        if (t != never && t != 0)
+            windows.insert(windows.end(), {t - 1, t, t + 1});
+        for (int i = 0; i < 6; ++i)
+            windows.push_back(rng.uniformInt(0, 1u << 22));
+        for (const std::uint64_t w : windows) {
+            // Each window starts from a fresh copy of the state: the
+            // call under test mutates it.
+            auto p = randomReceiveState(seed);
+            auto &srv = p->server;
+            ASSERT_EQ(srv.conn().windowGrowthThreshold(), t);
+            int emitted = 0;
+            srv.txFilter = [&](auto...) {
+                ++emitted;
+                return true;
+            };
+            srv.window = static_cast<std::uint32_t>(w);
+            const int queries = srv.acceptQueries;
+            srv.conn().onReceiveWindowGrew();
+            const bool acted =
+                emitted > 0 || srv.acceptQueries > queries;
+            EXPECT_EQ(acted, w >= t)
+                << "seed " << seed << " window " << w << " threshold "
+                << t;
+        }
+    }
+    // The random states reach every branch of the query.
+    EXPECT_GT(held, 0);
+    EXPECT_GT(blocked, 0);
+    EXPECT_GT(finite, 0);
+}
+
+// ---------------------------------------------------------------------
 // Incast bursts over the fixed-radix fat-tree
 // ---------------------------------------------------------------------
 

@@ -476,6 +476,234 @@ TEST(Srq, UdExhaustionDropsAndAccounts)
     EXPECT_EQ(c.byteLen, 256u);
 }
 
+TEST(Srq, ReplenishVisitsOnlyQpsThatCanProgress)
+{
+    QpipTestbed bed(2);
+    auto &client = bed.provider(0);
+    auto &server = bed.provider(1);
+    auto &nic = bed.nicOf(1);
+    constexpr std::size_t numQps = 64;
+    constexpr std::uint32_t msg = 1024;
+
+    auto scq = server.createCq(1024);
+    auto srq = server.createSrq();
+    std::vector<std::uint8_t> rbuf(1 << 16), sbuf(msg);
+    auto rmr = server.registerMemory(rbuf);
+    auto smr = client.registerMemory(sbuf);
+    // 3 KB posted: every connection opens advertising 3072 bytes.
+    for (std::uint64_t i = 0; i < 3; ++i)
+        ASSERT_TRUE(srq->postRecv(100 + i, *rmr, i * msg, msg));
+
+    QpAttrs server_attrs;
+    server_attrs.srq = srq;
+    verbs::Acceptor acc(server, 700, scq, scq);
+    std::vector<std::shared_ptr<verbs::QueuePair>> serverQps;
+    for (std::size_t i = 0; i < numQps; ++i) {
+        acc.acceptOne(
+            [&](std::shared_ptr<verbs::QueuePair> q) {
+                serverQps.push_back(std::move(q));
+            },
+            server_attrs);
+    }
+    auto ccq = client.createCq(1024);
+    std::vector<std::shared_ptr<verbs::QueuePair>> clientQps;
+    std::size_t connected = 0;
+    for (std::size_t i = 0; i < numQps; ++i) {
+        clientQps.push_back(
+            client.createQp(nic::QpType::ReliableTcp, ccq, ccq));
+        clientQps.back()->connect(
+            bed.addr(1, 700),
+            [&](bool ok) { connected += ok ? 1 : 0; });
+    }
+    ASSERT_TRUE(bed.sim().runUntilCondition(
+        [&] {
+            return connected == numQps && serverQps.size() == numQps;
+        },
+        bed.sim().now() + 20 * sim::oneSec));
+
+    // Server QPs in attach (= creation) order, each with the client
+    // QP on the other end of its connection.
+    std::sort(serverQps.begin(), serverQps.end(),
+              [](const auto &a, const auto &b) {
+                  return a->num() < b->num();
+              });
+    auto clientOf = [&](std::size_t rank) {
+        const auto port =
+            nic.connectionOf(serverQps[rank]->num())->tuple().remote.port;
+        for (auto &qp : clientQps) {
+            if (bed.nicOf(0).connectionOf(qp->num())->tuple().local.port ==
+                port)
+                return qp;
+        }
+        return std::shared_ptr<verbs::QueuePair>();
+    };
+    auto segsOut = [&](std::size_t rank) {
+        return nic.connectionOf(serverQps[rank]->num())
+            ->stats()
+            .segsOut.value();
+    };
+    auto sendOn = [&](std::size_t rank, std::uint64_t id) {
+        ASSERT_TRUE(clientOf(rank)->postSend(id, *smr, 0, msg));
+    };
+    auto nextRecv = [&](Completion &c) {
+        do {
+            ASSERT_TRUE(awaitCompletion(bed, *scq, c));
+        } while (c.isSend);
+    };
+
+    // Attach ranks: X leaves a partial window (1 KB of its 3 KB), Y
+    // empties the pool, H1 and H2 then find no WR and hold.
+    constexpr std::size_t x = 8, h1 = 17, h2 = 45, y = 50;
+    Completion c;
+    sendOn(x, 1);
+    sendOn(x, 2);
+    for (std::uint64_t wr = 100; wr < 102; ++wr) {
+        nextRecv(c);
+        EXPECT_EQ(c.wrId, wr);
+    }
+    sendOn(y, 3);
+    nextRecv(c);
+    EXPECT_EQ(c.wrId, 102u);
+    sendOn(h1, 4);
+    sendOn(h2, 5);
+    bed.sim().runFor(2 * sim::oneMs);
+    EXPECT_EQ(nic.srqRnrHolds.value(), 2u);
+    EXPECT_EQ(scq->depth(), 0u);
+
+    std::vector<std::uint64_t> segs0(numQps);
+    for (std::size_t r = 0; r < numQps; ++r)
+        segs0[r] = segsOut(r);
+    const std::uint64_t visits0 = nic.srqReplenishVisits.value();
+
+    // One 2 KB WR. The idle QPs advertised 3 KB and Y 2 KB, so none
+    // of them can act; X (1 KB advertised) owes a window update and
+    // H1, H2 hold messages. In attach order: X updates, H1 takes the
+    // WR, H2 is refused again.
+    ASSERT_TRUE(srq->postRecv(200, *rmr, 8 * msg, 2 * msg));
+    nextRecv(c);
+    bed.sim().runFor(sim::oneMs);
+    EXPECT_EQ(c.wrId, 200u);
+    EXPECT_EQ(c.qp, serverQps[h1]->num());
+    EXPECT_EQ(c.byteLen, msg);
+    EXPECT_EQ(nic.srqRnrHolds.value(), 3u);
+    EXPECT_EQ(nic.srqReplenishVisits.value() - visits0, 3u);
+    for (std::size_t r = 0; r < numQps; ++r) {
+        const std::uint64_t want = r == x || r == h1 ? 1 : 0;
+        EXPECT_EQ(segsOut(r) - segs0[r], want) << "attach rank " << r;
+    }
+
+    // X's update advertised 2 KB, which re-keyed it: a 1.5 KB WR is
+    // offered to H2 alone.
+    const std::uint64_t visits1 = nic.srqReplenishVisits.value();
+    const std::uint64_t segsX = segsOut(x);
+    ASSERT_TRUE(srq->postRecv(201, *rmr, 12 * msg, 3 * msg / 2));
+    nextRecv(c);
+    EXPECT_EQ(c.wrId, 201u);
+    EXPECT_EQ(c.qp, serverQps[h2]->num());
+    EXPECT_EQ(nic.srqReplenishVisits.value() - visits1, 1u);
+    EXPECT_EQ(segsOut(x), segsX);
+    EXPECT_EQ(nic.srqRnrHolds.value(), 3u);
+}
+
+TEST(Srq, ThresholdFollowsTheAdvertisedEdge)
+{
+    // One 16 KB-MSS connection: with A bytes of advertised room left
+    // (A >= mss), a replenish acts only once postedBytes reaches
+    // A + 2 mss. Every ACK that moves the edge re-keys the QP.
+    QpipTestbed bed(2);
+    auto &client = bed.provider(0);
+    auto &server = bed.provider(1);
+    auto &nic = bed.nicOf(1);
+    auto scq = server.createCq();
+    auto ccq = client.createCq();
+    auto srq = server.createSrq();
+    std::vector<std::uint8_t> rbuf(1 << 17), sbuf(1000);
+    auto rmr = server.registerMemory(rbuf);
+    auto smr = client.registerMemory(sbuf);
+    ASSERT_TRUE(srq->postRecv(1, *rmr, 0, 20000));
+
+    QpAttrs attrs;
+    attrs.srq = srq;
+    verbs::Acceptor acc(server, 700, scq, scq);
+    std::shared_ptr<verbs::QueuePair> sqp;
+    acc.acceptOne(
+        [&](std::shared_ptr<verbs::QueuePair> q) { sqp = std::move(q); },
+        attrs);
+    auto cqp = client.createQp(nic::QpType::ReliableTcp, ccq, ccq);
+    bool connected = false;
+    cqp->connect(bed.addr(1, 700), [&](bool ok) { connected = ok; });
+    ASSERT_TRUE(bed.sim().runUntilCondition(
+        [&] { return connected && sqp != nullptr; },
+        bed.sim().now() + 10 * sim::oneSec));
+    bed.sim().runFor(sim::oneMs);
+
+    auto *conn = nic.connectionOf(sqp->num());
+    auto post = [&](std::uint64_t id, std::uint32_t bytes) {
+        const std::uint64_t visits = nic.srqReplenishVisits.value();
+        const std::uint64_t segs = conn->stats().segsOut.value();
+        EXPECT_TRUE(srq->postRecv(id, *rmr, 0, bytes));
+        bed.sim().runFor(sim::oneMs);
+        return std::make_pair(nic.srqReplenishVisits.value() - visits,
+                              conn->stats().segsOut.value() - segs);
+    };
+    using Deltas = std::pair<std::uint64_t, std::uint64_t>;
+    // Advertised 20000 at the handshake: 52000 posted < 52768.
+    EXPECT_EQ(post(2, 32000), Deltas(0, 0));
+    // A 1000-byte message takes WR 1; its ACK advertises the 32000
+    // still posted, so the threshold rises to 64768.
+    ASSERT_TRUE(cqp->postSend(9, *smr, 0, 1000));
+    Completion c;
+    ASSERT_TRUE(awaitCompletion(bed, *scq, c));
+    EXPECT_EQ(c.wrId, 1u);
+    bed.sim().runFor(sim::oneMs);
+    EXPECT_EQ(post(3, 25000), Deltas(0, 0)); // 57000 < 64768
+    EXPECT_EQ(post(4, 8000), Deltas(1, 1));  // 65000: window update
+}
+
+TEST(Srq, RdmaWindowCountsTowardTheReplenishThreshold)
+{
+    // An RDMA-enabled QP advertises postedBytes + its one-sided
+    // window, so its SRQ threshold sits that window below the TCP one.
+    QpipTestbed bed(2);
+    auto &client = bed.provider(0);
+    auto &server = bed.provider(1);
+    auto &nic = bed.nicOf(1);
+    auto scq = server.createCq();
+    auto ccq = client.createCq();
+    auto srq = server.createSrq();
+    std::vector<std::uint8_t> rbuf(4096);
+    auto rmr = server.registerMemory(rbuf);
+
+    QpAttrs attrs;
+    attrs.srq = srq;
+    attrs.rdmaWindowBytes = 4096;
+    verbs::Acceptor acc(server, 700, scq, scq);
+    std::shared_ptr<verbs::QueuePair> sqp;
+    acc.acceptOne(
+        [&](std::shared_ptr<verbs::QueuePair> q) { sqp = std::move(q); },
+        attrs);
+    QpAttrs client_attrs;
+    client_attrs.rdmaWindowBytes = 4096;
+    auto cqp = client.createQp(nic::QpType::ReliableTcp, ccq, ccq,
+                               client_attrs);
+    bool connected = false;
+    cqp->connect(bed.addr(1, 700), [&](bool ok) { connected = ok; });
+    ASSERT_TRUE(bed.sim().runUntilCondition(
+        [&] { return connected && sqp != nullptr; },
+        bed.sim().now() + 10 * sim::oneSec));
+    bed.sim().runFor(sim::oneMs);
+
+    // The handshake advertised the 4 KB window with nothing posted:
+    // one posted byte past it already owes a window update.
+    auto *conn = nic.connectionOf(sqp->num());
+    const std::uint64_t segs0 = conn->stats().segsOut.value();
+    const std::uint64_t visits0 = nic.srqReplenishVisits.value();
+    ASSERT_TRUE(srq->postRecv(1, *rmr, 0, 1024));
+    bed.sim().runFor(sim::oneMs);
+    EXPECT_EQ(nic.srqReplenishVisits.value() - visits0, 1u);
+    EXPECT_EQ(conn->stats().segsOut.value() - segs0, 1u);
+}
+
 // ---------------------------------------------------------------------
 // QP context cache
 // ---------------------------------------------------------------------
@@ -728,7 +956,7 @@ TEST(Rud, SrqExhaustionHoldsAndAccountsRnr)
     auto scq = server.createCq();
     auto ccq = client.createCq();
     auto srq = server.createSrq();
-    std::vector<std::uint8_t> rbuf(8192), sbuf(8192);
+    std::vector<std::uint8_t> rbuf(16384), sbuf(8192);
     auto rmr = server.registerMemory(rbuf);
     auto smr = client.registerMemory(sbuf);
 
@@ -737,31 +965,50 @@ TEST(Rud, SrqExhaustionHoldsAndAccountsRnr)
     auto qs = server.createQp(nic::QpType::ReliableDatagram, scq, scq,
                               attrs);
     qs->bind(800);
-    auto qc = client.createQp(nic::QpType::ReliableDatagram, ccq, ccq);
-    qc->bind(801);
+    // Three peers, created (and sending) out of port order.
+    const std::uint16_t ports[] = {803, 801, 802};
+    std::vector<std::shared_ptr<verbs::QueuePair>> peers;
+    for (const std::uint16_t port : ports) {
+        peers.push_back(
+            client.createQp(nic::QpType::ReliableDatagram, ccq, ccq));
+        peers.back()->bind(port);
+    }
 
     // SRQ empty: unlike UD (which drops and counts srq.emptyDrops),
-    // the reliable service holds the in-order datagram un-acked and
-    // accounts an RNR hold.
-    ASSERT_TRUE(qc->postSend(1, *smr, 0, 256, bed.addr(1, 800)));
+    // the reliable service holds each peer's in-order datagram
+    // un-acked and accounts one RNR hold per peer; retransmits of a
+    // held datagram add none.
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+        ASSERT_TRUE(peers[i]->postSend(ports[i], *smr, i * 256, 256,
+                                       bed.addr(1, 800)));
+    }
     bed.sim().runFor(100 * sim::oneMs);
-    EXPECT_GE(bed.nicOf(1).srqRnrHolds.value(), 1u);
+    EXPECT_EQ(bed.nicOf(1).srqRnrHolds.value(), 3u);
+    EXPECT_EQ(bed.nicOf(1).rudRnrHolds.value(), 0u);
     EXPECT_EQ(bed.nicOf(1).srqEmptyDrops.value(), 0u);
     EXPECT_EQ(scq->depth(), 0u); // nothing delivered...
     EXPECT_EQ(ccq->depth(), 0u); // ...and nothing acked
 
-    // Reposting releases the held datagram; the ack then completes
-    // the client's send.
-    ASSERT_TRUE(srq->postRecv(7, *rmr, 0, 4096));
+    // Each repost releases one held datagram, lowest peer address
+    // first; its ack then completes that peer's send.
     Completion c;
-    ASSERT_TRUE(awaitCompletion(bed, *scq, c, 20 * sim::oneSec));
-    EXPECT_EQ(c.wrId, 7u);
-    EXPECT_EQ(c.byteLen, 256u);
-    EXPECT_EQ(c.status, WcStatus::Success);
-    ASSERT_TRUE(awaitCompletion(bed, *ccq, c, 20 * sim::oneSec));
-    EXPECT_TRUE(c.isSend);
-    EXPECT_EQ(c.wrId, 1u);
-    EXPECT_EQ(c.status, WcStatus::Success);
+    for (const std::uint16_t port : {801, 802, 803}) {
+        ASSERT_TRUE(srq->postRecv(port, *rmr, (port - 800) * 4096,
+                                  4096));
+        ASSERT_TRUE(awaitCompletion(bed, *scq, c, 20 * sim::oneSec));
+        EXPECT_EQ(c.wrId, port);
+        EXPECT_EQ(c.from.port, port);
+        EXPECT_EQ(c.byteLen, 256u);
+        EXPECT_EQ(c.status, WcStatus::Success);
+        ASSERT_TRUE(awaitCompletion(bed, *ccq, c, 20 * sim::oneSec));
+        EXPECT_TRUE(c.isSend);
+        EXPECT_EQ(c.wrId, port);
+        EXPECT_EQ(c.status, WcStatus::Success);
+        EXPECT_EQ(scq->depth(), 0u); // the others stay held
+    }
+    EXPECT_EQ(bed.nicOf(1).srqRnrHolds.value(), 3u);
+    // Only passes with a holding peer visit the QP.
+    EXPECT_EQ(bed.nicOf(1).srqReplenishVisits.value(), 3u);
 }
 
 TEST(Rud, FlushSurfacesWindowedSendsOnDestroy)
