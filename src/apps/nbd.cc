@@ -16,6 +16,11 @@ namespace {
 
 constexpr Tick runDeadline = 1200 * sim::oneSec;
 
+/** A client's outstanding requests: handle -> (offset, length). */
+using PendingReqs =
+    std::unordered_map<std::uint64_t,
+                       std::pair<std::uint64_t, std::uint32_t>>;
+
 /** Each client run gets a fresh source port (old conns may linger). */
 std::uint16_t
 nextClientPort()
@@ -37,6 +42,17 @@ fillPattern(std::uint64_t off, std::span<std::uint8_t> out)
 {
     for (std::size_t i = 0; i < out.size(); ++i)
         out[i] = patternByte(off + i);
+}
+
+/** Whether @p data is the device pattern at offset @p off. */
+bool
+patternMatches(std::uint64_t off, std::span<const std::uint8_t> data)
+{
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        if (data[i] != patternByte(off + i))
+            return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -387,9 +403,7 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
         std::uint64_t completed = 0;
         std::size_t outstanding = 0;
         std::uint64_t handle = 1;
-        std::unordered_map<std::uint64_t,
-                           std::pair<std::uint64_t, std::uint32_t>>
-            reqs;
+        PendingReqs reqs;
         bool senderActive = false;
         bool done = false;
         bool dataOk = true;
@@ -488,14 +502,9 @@ runNbdSocketsSequential(SocketsTestbed &bed, std::size_t client_idx,
                                 st->done = true;
                                 return;
                             }
-                            if (params.verifyContent) {
-                                for (std::size_t i = 0; i < len; ++i) {
-                                    if (d[i] !=
-                                        patternByte(req_off + i)) {
-                                        st->dataOk = false;
-                                        break;
-                                    }
-                                }
+                            if (params.verifyContent &&
+                                !patternMatches(req_off, d)) {
+                                st->dataOk = false;
                             }
                             complete(len);
                         });
@@ -571,7 +580,7 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
         std::uint64_t completed = 0;
         std::size_t outstanding = 0;
         std::uint64_t handle = 1;
-        std::unordered_map<std::uint64_t, std::uint32_t> lens;
+        PendingReqs reqs;
         bool done = false;
         bool flushing = false;
         bool dataOk = true;
@@ -599,7 +608,7 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
             req.offset = st->nextOffset;
             req.length = len;
             st->nextOffset += len;
-            st->lens[req.handle] = len;
+            st->reqs[req.handle] = {req.offset, len};
             ++st->outstanding;
             const std::size_t slot = req.handle % depth;
 
@@ -641,11 +650,12 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
 
     // Completion pump: the kernel NBD driver blocks on CQ events.
     auto pump = std::make_shared<std::function<void()>>();
+    const bool verify_reads = params.verifyContent && !is_write;
     *pump = [&sim, cq, rep_buf, st, issue, pump, total_bytes,
-             is_write, rep_slot, start_flush, depth] {
+             is_write, rep_slot, start_flush, verify_reads] {
         cq->wait([&sim, cq, rep_buf, st, issue, pump, total_bytes,
                   is_write, rep_slot, start_flush,
-                  depth](verbs::Completion c) {
+                  verify_reads](verbs::Completion c) {
             if (!c.isSend && c.status == verbs::WcStatus::Success) {
                 if (st->flushing) {
                     st->tEnd = sim.now();
@@ -660,12 +670,16 @@ runNbdQpipSequential(QpipTestbed &bed, std::size_t client_idx,
                     rep_buf->data() + base, c.byteLen);
                 if (!parseNbdReply(rep, handle, err) || err != 0) {
                     st->dataOk = false;
-                } else {
-                    auto it = st->lens.find(handle);
-                    if (it != st->lens.end()) {
-                        st->completed += it->second;
-                        st->lens.erase(it);
+                } else if (auto it = st->reqs.find(handle);
+                           it != st->reqs.end()) {
+                    const auto [off, len] = it->second;
+                    const auto data = rep.subspan(nbdReplyHeaderBytes);
+                    if (verify_reads && (data.size() != len ||
+                                         !patternMatches(off, data))) {
+                        st->dataOk = false;
                     }
+                    st->completed += len;
+                    st->reqs.erase(it);
                 }
                 --st->outstanding;
                 (*issue)();

@@ -88,10 +88,12 @@ struct TcpConfig
     bool noDelay = false;
     bool delayedAck = true;
     sim::Tick delAckTimeout = 40 * sim::oneMs;
-    /** QPIP message-per-segment discipline. */
+    /**
+     * QPIP message-per-segment discipline. Out-of-order segments are
+     * buffered for reassembly only in stream mode (the firmware subset
+     * drops them).
+     */
     bool messageMode = false;
-    /** Buffer out-of-order segments (host stacks yes, firmware no). */
-    bool reassembly = true;
     /** Stream-mode send buffer bytes. */
     std::uint32_t sendBufBytes = 256 * 1024;
     sim::Tick minRto = 200 * sim::oneMs;

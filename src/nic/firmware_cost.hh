@@ -110,8 +110,6 @@ struct FirmwareCostModel
     double touchPerByte = 1.27;
 
     // --- hardware assists ---------------------------------------------
-    /** DMA engine computes IP checksums on transmit (LANai 9 can). */
-    bool hwChecksumTx = true;
     /**
      * Receive-side hardware checksum. The real LANai 9 cannot
      * (the paper's "artifact of the Myrinet hardware"); the paper's

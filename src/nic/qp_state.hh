@@ -121,21 +121,18 @@ struct Completion
 };
 
 /**
+ * A host-memory receive work ring: a QP's own, or a shared receive
+ * queue's, whose WRs any attached QP may consume in post order.
+ */
+using RecvRing = std::deque<RecvWr>;
+
+/**
  * The host-memory work queues of one QP.
  */
 struct QpHostRings
 {
     std::deque<SendWr> sendQ;
-    std::deque<RecvWr> recvQ;
-};
-
-/**
- * The host-memory ring of a shared receive queue: receive WRs that
- * any attached QP may consume, in post order.
- */
-struct SrqHostRing
-{
-    std::deque<RecvWr> recvQ;
+    RecvRing recvQ;
 };
 
 /**

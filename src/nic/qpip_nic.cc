@@ -43,8 +43,7 @@ inet::TcpConfig
 QpipNicParams::defaultFirmwareTcpConfig()
 {
     inet::TcpConfig cfg;
-    cfg.messageMode = true;
-    cfg.reassembly = false; // prototype subset: no OOO reassembly
+    cfg.messageMode = true; // prototype subset: no OOO reassembly
     cfg.delayedAck = false; // SAN latency: ACK every message
     cfg.noDelay = true;
     cfg.mss = 16384;
@@ -76,7 +75,6 @@ QpipNic::QpipNic(sim::Simulation &sim, std::string name, net::Link &link,
 {
     // Force the prototype's transport subset regardless of overrides.
     params_.tcp.messageMode = true;
-    params_.tcp.reassembly = false;
     regStat("badPackets", badPackets);
     regStat("noQpDrops", noQpDrops);
     regStat("udpNoWrDrops", udpNoWrDrops);
@@ -172,6 +170,7 @@ QpipNic::createQp(QpType type, QpHostRings *rings, CqRing *scq,
         if (it == srqs_.end())
             sim::fatal("createQp: unknown srq %u", attrs.srq);
         ctx->srq = it->second.get();
+        ctx->recv = &ctx->srq->recv;
         ctx->srqSeq = ctx->srq->nextAttachSeq++;
         ctx->srq->attached.emplace(
             std::make_pair(ctx->srqThreshold, ctx->srqSeq), ctx.get());
@@ -196,27 +195,28 @@ QpipNic::destroyQp(QpNum qp)
         return;
     fw_.charge(FwStage::Mgmt, params_.costs.mgmtCommand);
     if (ctx->conn) {
-        connOwner_.erase(ctx->conn.get());
-        inet_.unregisterConn(ctx->conn->tuple());
+        uninstallConn(*ctx);
         ctx->conn->abort();
     }
     if (ctx->bound)
         engineFor(ctx->type).unbound(*ctx);
     flushQp(*ctx, WcStatus::Flushed);
-    if (ctx->srq != nullptr)
+    if (ctx->srq != nullptr) {
         ctx->srq->attached.erase({ctx->srqThreshold, ctx->srqSeq});
+        // Shared WRs held for messages this QP will never land.
+        releaseRecvWrs(*ctx, ctx->recvReserved);
+    }
     qpCache_.remove(qp);
     qps_.erase(qp);
 }
 
 SrqNum
-QpipNic::createSrq(SrqHostRing *ring)
+QpipNic::createSrq(RecvRing *ring)
 {
     fw_.charge(FwStage::Mgmt, params_.costs.mgmtCommand);
     const SrqNum num = nextSrqNum_++;
     auto ctx = std::make_unique<SrqContext>();
-    ctx->num = num;
-    ctx->ring = ring;
+    ctx->recv.ring = ring;
     srqs_[num] = std::move(ctx);
     return num;
 }
@@ -257,27 +257,13 @@ QpipNic::connect(QpNum qp, const inet::SockAddr &remote, ConnectCb done)
         ctx->bound = true;
     }
     ctx->connectDone = std::move(done);
+    // Deferred stages re-look-up the QP: destroyQp() erases it at once.
     fw_.exec(FwStage::Mgmt, params_.costs.mgmtCommand,
-             [this, ctx, remote] {
-                 // Destroy any previous connection first so its stat
-                 // paths vacate before the new one claims them.
-                 if (ctx->conn) {
-                     connOwner_.erase(ctx->conn.get());
-                     inet_.unregisterConn(ctx->conn->tuple());
-                     ctx->conn.reset();
+             [this, qp, remote] {
+                 if (QpContext *c = lookupQp(qp)) {
+                     installConn(*c, {c->local, remote})
+                         .openActive(c->local, remote);
                  }
-                 ctx->conn = std::make_unique<inet::TcpConnection>(
-                     inet_, *ctx, params_.tcp);
-                 if (ctx->srq != nullptr)
-                     ctx->conn->watchReceiveState();
-                 ctx->conn->stats().registerIn(
-                     statRegistry(), name() + ".qp" +
-                                         std::to_string(ctx->num) +
-                                         ".tcp");
-                 inet::FourTuple t{ctx->local, remote};
-                 inet_.registerConn(t, ctx->conn.get());
-                 connOwner_[ctx->conn.get()] = ctx;
-                 ctx->conn->openActive(ctx->local, remote);
              });
 }
 
@@ -298,10 +284,38 @@ QpipNic::disconnect(QpNum qp)
     auto *ctx = lookupQp(qp);
     if (ctx == nullptr || !ctx->conn)
         return;
-    fw_.exec(FwStage::Mgmt, params_.costs.mgmtCommand, [ctx] {
-        if (ctx->conn)
-            ctx->conn->close();
+    fw_.exec(FwStage::Mgmt, params_.costs.mgmtCommand, [this, qp] {
+        QpContext *c = lookupQp(qp);
+        if (c != nullptr && c->conn)
+            c->conn->close();
     });
+}
+
+inet::TcpConnection &
+QpipNic::installConn(QpContext &qp, const inet::FourTuple &t)
+{
+    // Destroy any previous connection first so its stat paths vacate
+    // before the new one claims them.
+    if (qp.conn) {
+        uninstallConn(qp);
+        qp.conn.reset();
+    }
+    qp.conn = std::make_unique<inet::TcpConnection>(inet_, qp,
+                                                    params_.tcp);
+    if (qp.srq != nullptr)
+        qp.conn->watchReceiveState();
+    qp.conn->stats().registerIn(
+        statRegistry(), name() + ".qp" + std::to_string(qp.num) + ".tcp");
+    inet_.registerConn(t, qp.conn.get());
+    connOwner_[qp.conn.get()] = &qp;
+    return *qp.conn;
+}
+
+void
+QpipNic::uninstallConn(QpContext &qp)
+{
+    connOwner_.erase(qp.conn.get());
+    inet_.unregisterConn(qp.conn->tuple());
 }
 
 QpipNic::QpContext *
@@ -323,15 +337,9 @@ QpipNic::connectionOf(QpNum qp)
 // ---------------------------------------------------------------------
 
 void
-QpipNic::postDoorbell(QpNum qp, bool is_send, std::uint32_t wr_count)
+QpipNic::ringDoorbell(const Doorbell &db)
 {
-    doorbells_.ring(Doorbell{qp, is_send, false, wr_count});
-}
-
-void
-QpipNic::postSrqDoorbell(SrqNum srq, std::uint32_t wr_count)
-{
-    doorbells_.ring(Doorbell{srq, false, true, wr_count});
+    doorbells_.ring(db);
 }
 
 void
@@ -357,30 +365,15 @@ QpipNic::doorbellDrain()
              static_cast<sim::Cycles>(db.wrCount - 1);
     }
     fw_.exec(FwStage::DoorbellProcess, c, [this, db] {
+        // An SRQ context is pinned in SRAM; a QP's may need fetching.
         if (db.isSrq) {
             auto it = srqs_.find(db.qp);
-            if (it != srqs_.end()) {
-                auto &srq = *it->second;
-                const std::uint64_t total =
-                    srq.consumed + srq.ring->recvQ.size();
-                const std::uint64_t fresh = total - srq.seen;
-                srq.seen = total;
-                const auto &q = srq.ring->recvQ;
-                for (std::uint64_t i = 0; i < fresh; ++i) {
-                    const auto &wr = q[q.size() - fresh + i];
-                    ++srq.postedCount;
-                    srq.postedBytes += wr.sge.length;
-                }
-                if (fresh > 0)
-                    replenishSrq(srq);
-            }
+            if (it != srqs_.end() && it->second->recv.intake() > 0)
+                replenishSrq(*it->second);
         } else if (auto *ctx = lookupQp(db.qp); ctx != nullptr) {
             touchQpContext(db.qp);
             if (db.isSend) {
-                const std::uint64_t total =
-                    ctx->sendConsumed + ctx->rings->sendQ.size();
-                const std::uint64_t fresh = total - ctx->sendSeen;
-                ctx->sendSeen = total;
+                const std::uint64_t fresh = ctx->send.intake();
                 if (db.wrCount > 1) {
                     // Batch record: one scheduler pass consumes the
                     // whole fresh run.
@@ -390,20 +383,8 @@ QpipNic::doorbellDrain()
                     for (std::uint64_t i = 0; i < fresh; ++i)
                         scheduleSendService(*ctx);
                 }
-            } else {
-                const std::uint64_t total =
-                    ctx->recvConsumed + ctx->rings->recvQ.size();
-                const std::uint64_t fresh = total - ctx->recvSeen;
-                ctx->recvSeen = total;
-                // The new WRs sit at the back of the host ring.
-                const auto &q = ctx->rings->recvQ;
-                for (std::uint64_t i = 0; i < fresh; ++i) {
-                    const auto &wr = q[q.size() - fresh + i];
-                    ++ctx->postedRecvCount;
-                    ctx->postedRecvBytes += wr.sge.length;
-                }
-                if (fresh > 0)
-                    engineFor(ctx->type).recvReplenished(*ctx);
+            } else if (ctx->ownRecv.intake() > 0) {
+                engineFor(ctx->type).recvReplenished(*ctx);
             }
         }
         doorbellDrain();
@@ -421,7 +402,8 @@ QpipNic::replenishSrq(SrqContext &srq)
     auto &pass = srq.pass;
     pass.clear();
     for (auto it = srq.attached.begin();
-         it != srq.attached.end() && it->first.first <= srq.postedBytes;
+         it != srq.attached.end() &&
+         it->first.first <= srq.recv.postedBytes;
          ++it)
         pass.emplace_back(it->first.second, it->second);
     std::sort(pass.begin(), pass.end(), [](const auto &a, const auto &b) {
@@ -520,12 +502,10 @@ QpipNic::serviceSendWr(QpContext &qp)
     fw_.exec(FwStage::GetWr, params_.costs.getWr, [this,
                                                    qpn = qp.num] {
         QpContext *ctx = lookupQp(qpn);
-        if (ctx == nullptr || ctx->rings->sendQ.empty())
+        if (ctx == nullptr || ctx->send.ring->empty())
             return; // raced with destroy/flush
         QpContext &qp = *ctx;
-        SendWr wr = qp.rings->sendQ.front();
-        qp.rings->sendQ.pop_front();
-        ++qp.sendConsumed;
+        SendWr wr = qp.send.take();
         touchQpContext(qp.num);
 
         if (wr.opcode != WrOpcode::Send &&
@@ -697,21 +677,7 @@ QpipNic::tcpAccept(const inet::FourTuple &t, const inet::TcpHeader &syn)
         return false;
     ctx->local = t.local;
     ctx->bound = true;
-    if (ctx->conn) {
-        connOwner_.erase(ctx->conn.get());
-        inet_.unregisterConn(ctx->conn->tuple());
-        ctx->conn.reset();
-    }
-    ctx->conn = std::make_unique<inet::TcpConnection>(inet_, *ctx,
-                                                      params_.tcp);
-    if (ctx->srq != nullptr)
-        ctx->conn->watchReceiveState();
-    ctx->conn->stats().registerIn(
-        statRegistry(),
-        name() + ".qp" + std::to_string(ctx->num) + ".tcp");
-    inet_.registerConn(t, ctx->conn.get());
-    connOwner_[ctx->conn.get()] = ctx;
-    ctx->conn->openPassive(t.local, t.remote, syn);
+    installConn(*ctx, t).openPassive(t.local, t.remote, syn);
     return true;
 }
 
@@ -720,25 +686,9 @@ QpipNic::receiveIntoWr(QpContext &qp, std::vector<std::uint8_t> msg,
                        const inet::SockAddr &from)
 {
     touchQpContext(qp.num);
-    RecvWr wr;
-    if (qp.srq != nullptr) {
-        auto &srq = *qp.srq;
-        if (srq.postedCount == 0 || srq.ring->recvQ.empty())
-            sim::panic("receiveIntoWr without a posted SRQ WR");
-        wr = srq.ring->recvQ.front();
-        srq.ring->recvQ.pop_front();
-        ++srq.consumed;
-        --srq.postedCount;
-        srq.postedBytes -= wr.sge.length;
-    } else {
-        if (qp.postedRecvCount == 0 || qp.rings->recvQ.empty())
-            sim::panic("receiveIntoWr without a posted WR");
-        wr = qp.rings->recvQ.front();
-        qp.rings->recvQ.pop_front();
-        ++qp.recvConsumed;
-        --qp.postedRecvCount;
-        qp.postedRecvBytes -= wr.sge.length;
-    }
+    if (qp.recv->postedCount == 0 || qp.recv->ring->empty())
+        sim::panic("qp%u: receiveIntoWr without a posted WR", qp.num);
+    const RecvWr wr = qp.recv->take();
 
     fw_.exec(FwStage::GetWr, params_.costs.getWr,
              [this, qpn = qp.num, wr, msg = std::move(msg),
@@ -850,23 +800,25 @@ QpipNic::flushQp(QpContext &qp, WcStatus status)
         completeWr(qp, true, wr.id, wr.opcode, status);
         qp.pendingRdma.pop_front();
     }
-    while (!qp.rings->sendQ.empty()) {
-        SendWr wr = qp.rings->sendQ.front();
-        qp.rings->sendQ.pop_front();
-        ++qp.sendConsumed;
-        if (qp.sendSeen < qp.sendConsumed)
-            qp.sendSeen = qp.sendConsumed;
+    qp.send.flush([&](const SendWr &wr) {
         completeWr(qp, true, wr.id, wr.opcode, status);
-    }
-    while (!qp.rings->recvQ.empty()) {
-        const std::uint64_t id = qp.rings->recvQ.front().id;
-        qp.rings->recvQ.pop_front();
-        ++qp.recvConsumed;
-        completeWr(qp, false, id, WrOpcode::Send, status);
-    }
-    qp.postedRecvCount = 0;
-    qp.postedRecvBytes = 0;
-    qp.recvSeen = qp.recvConsumed;
+    });
+    // The QP's own ring only: an SRQ's WRs stay for its other QPs.
+    qp.ownRecv.flush([&](const RecvWr &wr) {
+        completeWr(qp, false, wr.id, WrOpcode::Send, status);
+    });
+}
+
+void
+QpipNic::releaseRecvWrs(QpContext &qp, std::uint32_t n)
+{
+    if (n == 0)
+        return;
+    qp.unreserveRecvWrs(n);
+    if (qp.srq != nullptr)
+        replenishSrq(*qp.srq);
+    else
+        engineFor(qp.type).recvReplenished(qp);
 }
 
 sim::Tick

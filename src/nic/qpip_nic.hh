@@ -55,7 +55,7 @@ struct QpipNicParams
     /** Per-direction PCI DMA engine parameters (LANai 9 has two). */
     DmaConfig dma{264e6, sim::oneUs * 5 / 2};
     std::size_t doorbellCap = 1024;
-    /** Firmware TCP defaults (messageMode/reassembly forced). */
+    /** Firmware TCP defaults (messageMode forced). */
     inet::TcpConfig tcp = defaultFirmwareTcpConfig();
     /** Reassembly partial-datagram expiry. */
     sim::Tick reassExpiry = 50 * sim::oneMs;
@@ -159,7 +159,7 @@ class QpipNic : public sim::SimObject,
     void destroyQp(QpNum qp);
 
     /** Create a shared receive queue backed by host ring @p ring. */
-    SrqNum createSrq(SrqHostRing *ring);
+    SrqNum createSrq(RecvRing *ring);
     /** Destroy an SRQ. @pre no QP is still attached to it. */
     void destroySrq(SrqNum srq);
 
@@ -179,16 +179,8 @@ class QpipNic : public sim::SimObject,
     void disconnect(QpNum qp);
 
     // --- datapath (user-level) ----------------------------------------
-    /**
-     * Notify the NIC of newly posted WRs (rings a doorbell).
-     * @p wr_count is the number of WRs the ring announces — a
-     * chained post passes the chain length and pays one doorbell.
-     */
-    void postDoorbell(QpNum qp, bool is_send,
-                      std::uint32_t wr_count = 1);
-
-    /** Notify the NIC of newly posted SRQ receive WRs. */
-    void postSrqDoorbell(SrqNum srq, std::uint32_t wr_count = 1);
+    /** Notify the NIC of WRs newly posted to a QP's or SRQ's ring. */
+    void ringDoorbell(const Doorbell &db);
 
     // --- NetReceiver ----------------------------------------------------
     void onPacket(net::PacketPtr pkt) override;
@@ -229,7 +221,6 @@ class QpipNic : public sim::SimObject,
 
     LanaiProcessor &fw() { return fw_; }
     const FirmwareCostModel &costs() const { return params_.costs; }
-    const QpipNicParams &params() const { return params_; }
     inet::TcpConnection *connectionOf(QpNum qp);
 
     /** The QP context cache (hit/miss/eviction introspection). */
@@ -295,8 +286,12 @@ class QpipNic : public sim::SimObject,
      */
     void scheduleSendService(QpContext &qp, std::uint64_t run = 1);
     void serviceSendWr(QpContext &qp);
+    /** Land @p msg in the oldest WR of @p qp's receive ring. */
     void receiveIntoWr(QpContext &qp, std::vector<std::uint8_t> msg,
                        const inet::SockAddr &from);
+
+    /** Drop @p n held receive WRs whose messages will never land. */
+    void releaseRecvWrs(QpContext &qp, std::uint32_t n);
 
     /**
      * Fresh WRs on @p srq: call recvReplenished on every attached QP
@@ -366,6 +361,16 @@ class QpipNic : public sim::SimObject,
     void cqKick(CqRing *cq);
 
     void flushQp(QpContext &qp, WcStatus status);
+
+    /**
+     * Give @p qp a new TCP connection for tuple @p t, replacing any
+     * old one, registered and watched; the caller opens it.
+     */
+    inet::TcpConnection &installConn(QpContext &qp,
+                                     const inet::FourTuple &t);
+
+    /** Unregister @p qp's connection (PCB and owner); keep the object. */
+    void uninstallConn(QpContext &qp);
 
     QpContext *lookupQp(QpNum qp);
 

@@ -7,11 +7,15 @@
  * TcpObserver for the connected service, UdpEndpoint for the
  * datagram ones — immediately delegate the per-service work to the
  * owning NIC's transport engines.
+ *
+ * Every host ring has one RingShadow; a QP reaches its receive WRs
+ * through one pointer, at its own shadow or its SRQ's (DESIGN §11).
  */
 
 #pragma once
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <utility>
 #include <vector>
@@ -20,6 +24,65 @@
 #include "nic/transport/rc_engine.hh"
 
 namespace qpip::nic {
+
+/**
+ * The doorbell FSM's shadow of one host work ring (its QPIP state
+ * table entry): intake() accounts the WRs a doorbell announced,
+ * take() pops the oldest for the NIC to consume.
+ */
+template <typename Wr>
+struct RingShadow
+{
+    std::deque<Wr> *ring = nullptr;
+    std::uint64_t seen = 0;     ///< WRs ever announced by a doorbell
+    std::uint64_t consumed = 0; ///< WRs ever popped by the NIC
+    /** Announced WRs still in the ring, and their buffer bytes. */
+    std::uint32_t postedCount = 0;
+    std::uint64_t postedBytes = 0;
+    /**
+     * Posted WRs held for admitted messages that take theirs later
+     * (an RDMA-framed Send, after its RdmaExec parse).
+     */
+    std::uint32_t reserved = 0;
+
+    /** @return WRs announced since the last intake (popped ones too). */
+    std::uint64_t
+    intake()
+    {
+        const std::uint64_t total = consumed + ring->size();
+        for (std::uint64_t i = std::max(seen, consumed); i < total; ++i) {
+            ++postedCount;
+            postedBytes += (*ring)[i - consumed].sge.length;
+        }
+        return total - std::exchange(seen, total);
+    }
+
+    /** A posted WR is free for a newly admitted message. */
+    bool available() const { return postedCount > reserved; }
+
+    /** Pop the oldest WR. @pre the ring is not empty. */
+    Wr
+    take()
+    {
+        Wr wr = ring->front();
+        ring->pop_front();
+        if (consumed++ < seen) {
+            --postedCount;
+            postedBytes -= wr.sge.length;
+        }
+        return wr;
+    }
+
+    /** Teardown: pop every WR, announced or not, into @p fn. */
+    template <typename Fn>
+    void
+    flush(Fn &&fn)
+    {
+        while (!ring->empty())
+            fn(take());
+        seen = consumed;
+    }
+};
 
 /**
  * NIC-side state of one shared receive queue: the doorbell-FSM shadow
@@ -36,12 +99,7 @@ namespace qpip::nic {
  */
 struct QpipNic::SrqContext
 {
-    SrqNum num = invalidSrq;
-    SrqHostRing *ring = nullptr;
-    std::uint64_t seen = 0;
-    std::uint64_t consumed = 0;
-    std::uint32_t postedCount = 0;
-    std::uint64_t postedBytes = 0;
+    RingShadow<RecvWr> recv;
     /** (threshold, attach sequence) -> QP; see above. */
     std::map<std::pair<std::uint64_t, std::uint64_t>, QpContext *>
         attached;
@@ -57,17 +115,27 @@ struct QpipNic::QpContext : public inet::TcpObserver,
 {
     QpContext(QpipNic &nic_ref, QpNum n, QpType t, QpHostRings *r,
               CqRing *s, CqRing *rc)
-        : nic(nic_ref), num(n), type(t), rings(r), scq(s), rcq(rc)
-    {}
+        : nic(nic_ref), num(n), type(t), scq(s), rcq(rc)
+    {
+        send.ring = &r->sendQ;
+        ownRecv.ring = &r->recvQ;
+    }
 
     QpipNic &nic;
     QpNum num;
     QpType type;
-    QpHostRings *rings;
     CqRing *scq;
     CqRing *rcq;
 
-    /** Receive WRs come from here instead of rings->recvQ when set. */
+    // NIC-side shadows of the host work rings.
+    RingShadow<SendWr> send;
+    RingShadow<RecvWr> ownRecv;
+    /** Where receive WRs come from: ownRecv, or the SRQ's shadow. */
+    RingShadow<RecvWr> *recv = &ownRecv;
+    /** WRs this QP holds reserved in *recv. */
+    std::uint32_t recvReserved = 0;
+
+    /** The attached shared receive queue, else null. */
     SrqContext *srq = nullptr;
     /** This QP's key in srq->attached. */
     std::uint64_t srqThreshold = TransportEngine::neverReplenishes;
@@ -78,18 +146,8 @@ struct QpipNic::QpContext : public inet::TcpObserver,
     inet::SockAddr local;
     bool bound = false;
     std::unique_ptr<inet::TcpConnection> conn;
-    bool connected = false;
     ConnectCb connectDone;
     AcceptCb acceptDone;
-
-    // NIC-side shadow of the host work queues (what the doorbell FSM
-    // maintains in the QPIP state table).
-    std::uint64_t sendSeen = 0;
-    std::uint64_t sendConsumed = 0;
-    std::uint64_t recvSeen = 0;
-    std::uint64_t recvConsumed = 0;
-    std::uint32_t postedRecvCount = 0;
-    std::uint64_t postedRecvBytes = 0;
 
     /** What an unacked TCP message was carrying. */
     enum class TxKind : std::uint8_t {
@@ -114,11 +172,22 @@ struct QpipNic::QpContext : public inet::TcpObserver,
     std::deque<std::pair<std::uint64_t, SendWr>> pendingRdma;
     std::uint64_t nextRdmaId = 1;
 
-    bool
-    recvWrAvailable() const
+    bool recvWrAvailable() const { return recv->available(); }
+
+    /** Let go of @p n held WRs: their messages take them now, or never. */
+    void
+    unreserveRecvWrs(std::uint32_t n)
     {
-        return srq != nullptr ? srq->postedCount > 0
-                              : postedRecvCount > 0;
+        recv->reserved -= n;
+        recvReserved -= n;
+    }
+
+    /** An RDMA-framed message takes a receive WR only if a Send. */
+    static bool
+    rdmaTakesRecvWr(std::span<const std::uint8_t> msg)
+    {
+        return !msg.empty() &&
+               msg[0] == static_cast<std::uint8_t>(net::RdmaOpcode::Send);
     }
 
     // --- inet::UdpEndpoint --------------------------------------------
@@ -134,7 +203,6 @@ struct QpipNic::QpContext : public inet::TcpObserver,
     void
     onConnected(inet::TcpConnection &) override
     {
-        connected = true;
         if (connectDone) {
             auto cb = std::move(connectDone);
             nic.schedule(nic.fw_.busyUntil(), [cb] { cb(true); });
@@ -152,15 +220,18 @@ struct QpipNic::QpContext : public inet::TcpObserver,
     {
         // One-sided ops and responses consume no receive WR: peek the
         // framing opcode and wave anything but a Send through.
-        if (rdmaWindow > 0 && !payload.empty() &&
-            payload[0] !=
-                static_cast<std::uint8_t>(net::RdmaOpcode::Send)) {
+        if (rdmaWindow > 0 && !rdmaTakesRecvWr(payload))
             return true;
+        if (!recvWrAvailable()) {
+            if (srq != nullptr)
+                nic.srqRnrHolds.inc();
+            return false;
         }
-        const bool avail = recvWrAvailable();
-        if (!avail && srq != nullptr)
-            nic.srqRnrHolds.inc();
-        return avail;
+        if (rdmaWindow > 0) {
+            ++recv->reserved;
+            ++recvReserved;
+        }
+        return true;
     }
 
     void
@@ -207,7 +278,6 @@ struct QpipNic::QpContext : public inet::TcpObserver,
     void
     onReset(inet::TcpConnection &) override
     {
-        connected = false;
         if (connectDone) {
             auto cb = std::move(connectDone);
             nic.schedule(nic.curTick(), [cb] { cb(false); });
@@ -218,7 +288,6 @@ struct QpipNic::QpContext : public inet::TcpObserver,
     void
     onClosed(inet::TcpConnection &) override
     {
-        connected = false;
         nic.flushQp(*this, WcStatus::Flushed);
     }
 
@@ -234,10 +303,8 @@ struct QpipNic::QpContext : public inet::TcpObserver,
         // Posted receive-WR bytes (own ring or the shared queue's),
         // plus the standing one-sided window on RDMA-enabled QPs so
         // Write/Read traffic flows with zero WRs posted.
-        const std::uint64_t posted =
-            srq != nullptr ? srq->postedBytes : postedRecvBytes;
         return static_cast<std::uint32_t>(std::min<std::uint64_t>(
-            posted + rdmaWindow, 0xffffffffull));
+            recv->postedBytes + rdmaWindow, 0xffffffffull));
     }
 };
 

@@ -118,10 +118,14 @@ RcEngine::handleRdmaMessage(QpContext &qp,
             std::span<const std::uint8_t> payload;
             if (!net::parseRdmaMessage(msg, h, payload)) {
                 nic_.rdmaMalformed.inc();
+                if (QpContext::rdmaTakesRecvWr(msg))
+                    nic_.releaseRecvWrs(qp, 1);
                 return;
             }
             switch (h.opcode) {
               case net::RdmaOpcode::Send:
+                // The WR canAcceptMessage reserved is taken now.
+                qp.unreserveRecvWrs(1);
                 nic_.receiveIntoWr(qp,
                                    std::vector<std::uint8_t>(
                                        payload.begin(),

@@ -38,9 +38,8 @@ Provider::createQp(nic::QpType type,
                    std::shared_ptr<CompletionQueue> rcq,
                    std::size_t max_send_wr, std::size_t max_recv_wr)
 {
-    return std::make_shared<QueuePair>(*this, type, std::move(scq),
-                                       std::move(rcq), max_send_wr,
-                                       max_recv_wr);
+    return createQp(type, std::move(scq), std::move(rcq),
+                    QpAttrs{max_send_wr, max_recv_wr, nullptr, 0});
 }
 
 std::shared_ptr<QueuePair>

@@ -25,14 +25,6 @@ QueuePair::QueuePair(Provider &provider, nic::QpType type,
         rcq_ ? &rcq_->ring() : nullptr, nic_attrs);
 }
 
-QueuePair::QueuePair(Provider &provider, nic::QpType type,
-                     std::shared_ptr<CompletionQueue> scq,
-                     std::shared_ptr<CompletionQueue> rcq,
-                     std::size_t max_send_wr, std::size_t max_recv_wr)
-    : QueuePair(provider, type, std::move(scq), std::move(rcq),
-                QpAttrs{max_send_wr, max_recv_wr, nullptr, 0})
-{}
-
 QueuePair::~QueuePair()
 {
     if (!nicAlive_.expired())
@@ -68,25 +60,13 @@ QueuePair::disconnect()
 }
 
 bool
-QueuePair::postSend(std::uint64_t wr_id, const MemoryRegion &mr,
-                    std::size_t offset, std::size_t length,
-                    const inet::SockAddr &remote)
+QueuePair::postSendChain(std::span<const nic::SendWr> wrs)
 {
-    if (rings_.sendQ.size() >= maxSendWr_)
-        return false;
-    provider_.host().os().charge(provider_.costs().postSend);
-    nic::SendWr wr;
-    wr.id = wr_id;
-    wr.sge = mr.sge(offset, length);
-    wr.remote = remote;
-    rings_.sendQ.push_back(wr);
-    provider_.nic().postDoorbell(num_, true);
-    return true;
-}
-
-bool
-QueuePair::postSendList(std::span<const SendWrSpec> wrs)
-{
+    for (const auto &wr : wrs) {
+        if (rdmaWindow_ == 0 && wr.opcode != nic::WrOpcode::Send)
+            sim::panic("qp%u: one-sided post on a QP without "
+                       "rdmaWindowBytes", num_);
+    }
     if (wrs.empty())
         return true;
     if (rings_.sendQ.size() + wrs.size() > maxSendWr_)
@@ -95,57 +75,32 @@ QueuePair::postSendList(std::span<const SendWrSpec> wrs)
         provider_.costs().postSend +
         provider_.costs().postSendChained *
             static_cast<sim::Cycles>(wrs.size() - 1));
-    for (const auto &spec : wrs) {
-        nic::SendWr wr;
-        wr.id = spec.wrId;
-        wr.sge = spec.mr->sge(spec.offset, spec.length);
-        wr.remote = spec.remote;
-        rings_.sendQ.push_back(wr);
-    }
-    provider_.nic().postDoorbell(
-        num_, true, static_cast<std::uint32_t>(wrs.size()));
+    rings_.sendQ.insert(rings_.sendQ.end(), wrs.begin(), wrs.end());
+    provider_.nic().ringDoorbell(
+        {num_, true, false, static_cast<std::uint32_t>(wrs.size())});
     return true;
 }
 
 bool
-QueuePair::postRecv(std::uint64_t wr_id, const MemoryRegion &mr,
-                    std::size_t offset, std::size_t length)
+QueuePair::postSend(std::uint64_t wr_id, const MemoryRegion &mr,
+                    std::size_t offset, std::size_t length,
+                    const inet::SockAddr &remote)
 {
-    if (srq_)
-        sim::panic("qp%u: postRecv on an SRQ-attached QP", num_);
-    if (rings_.recvQ.size() >= maxRecvWr_)
-        return false;
-    provider_.host().os().charge(provider_.costs().postRecv);
-    nic::RecvWr wr;
-    wr.id = wr_id;
-    wr.sge = mr.sge(offset, length);
-    rings_.recvQ.push_back(wr);
-    provider_.nic().postDoorbell(num_, false);
-    return true;
+    const nic::SendWr wr{wr_id, nic::WrOpcode::Send,
+                         mr.sge(offset, length), remote};
+    return postSendChain({&wr, 1});
 }
 
 bool
-QueuePair::postRecvList(std::span<const RecvWrSpec> wrs)
+QueuePair::postSendList(std::span<const SendWrSpec> wrs)
 {
-    if (srq_)
-        sim::panic("qp%u: postRecvList on an SRQ-attached QP", num_);
-    if (wrs.empty())
-        return true;
-    if (rings_.recvQ.size() + wrs.size() > maxRecvWr_)
-        return false;
-    provider_.host().os().charge(
-        provider_.costs().postRecv +
-        provider_.costs().postRecvChained *
-            static_cast<sim::Cycles>(wrs.size() - 1));
+    chain_.clear();
     for (const auto &spec : wrs) {
-        nic::RecvWr wr;
-        wr.id = spec.wrId;
-        wr.sge = spec.mr->sge(spec.offset, spec.length);
-        rings_.recvQ.push_back(wr);
+        chain_.push_back({spec.wrId, nic::WrOpcode::Send,
+                          spec.mr->sge(spec.offset, spec.length),
+                          spec.remote});
     }
-    provider_.nic().postDoorbell(
-        num_, false, static_cast<std::uint32_t>(wrs.size()));
-    return true;
+    return postSendChain(chain_);
 }
 
 bool
@@ -153,8 +108,9 @@ QueuePair::postWrite(std::uint64_t wr_id, const MemoryRegion &mr,
                      std::size_t offset, std::size_t length,
                      nic::MrKey rkey, std::uint64_t raddr)
 {
-    return postOneSided(wr_id, nic::WrOpcode::RdmaWrite, mr, offset,
-                        length, rkey, raddr);
+    const nic::SendWr wr{wr_id, nic::WrOpcode::RdmaWrite,
+                         mr.sge(offset, length), {}, raddr, rkey};
+    return postSendChain({&wr, 1});
 }
 
 bool
@@ -162,30 +118,45 @@ QueuePair::postRead(std::uint64_t wr_id, const MemoryRegion &mr,
                     std::size_t offset, std::size_t length,
                     nic::MrKey rkey, std::uint64_t raddr)
 {
-    return postOneSided(wr_id, nic::WrOpcode::RdmaRead, mr, offset,
-                        length, rkey, raddr);
+    const nic::SendWr wr{wr_id, nic::WrOpcode::RdmaRead,
+                         mr.sge(offset, length), {}, raddr, rkey};
+    return postSendChain({&wr, 1});
 }
 
 bool
-QueuePair::postOneSided(std::uint64_t wr_id, nic::WrOpcode opcode,
-                        const MemoryRegion &mr, std::size_t offset,
-                        std::size_t length, nic::MrKey rkey,
-                        std::uint64_t raddr)
+QueuePair::postRecv(std::uint64_t wr_id, const MemoryRegion &mr,
+                    std::size_t offset, std::size_t length)
 {
-    if (rdmaWindow_ == 0)
-        sim::panic("qp%u: one-sided post on a QP without "
-                   "rdmaWindowBytes", num_);
-    if (rings_.sendQ.size() >= maxSendWr_)
+    const RecvWrSpec wr{wr_id, &mr, offset, length};
+    return postRecvList({&wr, 1});
+}
+
+bool
+QueuePair::postRecvList(std::span<const RecvWrSpec> wrs)
+{
+    if (srq_)
+        sim::panic("qp%u: receive post on an SRQ-attached QP", num_);
+    return postRecvChain(provider_, rings_.recvQ, maxRecvWr_, wrs,
+                         {num_, false, false, 0});
+}
+
+bool
+postRecvChain(Provider &provider, nic::RecvRing &ring,
+              std::size_t max_wr, std::span<const RecvWrSpec> wrs,
+              nic::Doorbell db)
+{
+    if (wrs.empty())
+        return true;
+    if (ring.size() + wrs.size() > max_wr)
         return false;
-    provider_.host().os().charge(provider_.costs().postSend);
-    nic::SendWr wr;
-    wr.id = wr_id;
-    wr.opcode = opcode;
-    wr.sge = mr.sge(offset, length);
-    wr.raddr = raddr;
-    wr.rkey = rkey;
-    rings_.sendQ.push_back(wr);
-    provider_.nic().postDoorbell(num_, true);
+    provider.host().os().charge(
+        provider.costs().postRecv +
+        provider.costs().postRecvChained *
+            static_cast<sim::Cycles>(wrs.size() - 1));
+    for (const auto &spec : wrs)
+        ring.push_back({spec.wrId, spec.mr->sge(spec.offset, spec.length)});
+    db.wrCount = static_cast<std::uint32_t>(wrs.size());
+    provider.nic().ringDoorbell(db);
     return true;
 }
 

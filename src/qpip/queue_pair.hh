@@ -15,7 +15,9 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <vector>
 
+#include "nic/doorbell.hh"
 #include "nic/qp_state.hh"
 #include "qpip/memory_region.hh"
 
@@ -74,6 +76,14 @@ struct RecvWrSpec
 };
 
 /**
+ * The one receive-post path, for a QP's own ring or an SRQ's: as
+ * QueuePair::postSendChain, with @p db announcing the chain.
+ */
+bool postRecvChain(Provider &provider, nic::RecvRing &ring,
+                   std::size_t max_wr, std::span<const RecvWrSpec> wrs,
+                   nic::Doorbell db);
+
+/**
  * One queue pair.
  */
 class QueuePair
@@ -84,10 +94,6 @@ class QueuePair
     QueuePair(Provider &provider, nic::QpType type,
               std::shared_ptr<CompletionQueue> scq,
               std::shared_ptr<CompletionQueue> rcq, QpAttrs attrs = {});
-    QueuePair(Provider &provider, nic::QpType type,
-              std::shared_ptr<CompletionQueue> scq,
-              std::shared_ptr<CompletionQueue> rcq,
-              std::size_t max_send_wr, std::size_t max_recv_wr);
     ~QueuePair();
 
     QueuePair(const QueuePair &) = delete;
@@ -167,13 +173,14 @@ class QueuePair
                   nic::MrKey rkey, std::uint64_t raddr);
 
     std::size_t sendQueueDepth() const { return rings_.sendQ.size(); }
-    std::size_t recvQueueDepth() const { return rings_.recvQ.size(); }
 
   private:
-    bool postOneSided(std::uint64_t wr_id, nic::WrOpcode opcode,
-                      const MemoryRegion &mr, std::size_t offset,
-                      std::size_t length, nic::MrKey rkey,
-                      std::uint64_t raddr);
+    /**
+     * The one send-post path: all-or-nothing depth check, one
+     * chained-post charge, push, one doorbell announcing the chain.
+     * A single post is a one-element chain; an empty one is a no-op.
+     */
+    bool postSendChain(std::span<const nic::SendWr> wrs);
 
     Provider &provider_;
     nic::QpipNic &nic_;
@@ -187,6 +194,8 @@ class QueuePair
     std::size_t maxRecvWr_;
     std::uint32_t rdmaWindow_;
     nic::QpHostRings rings_;
+    /** postSendList's WRs, reused across posts. */
+    std::vector<nic::SendWr> chain_;
     nic::QpNum num_ = nic::invalidQp;
 };
 

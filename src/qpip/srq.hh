@@ -54,7 +54,7 @@ class SharedReceiveQueue
     bool postRecvList(std::span<const RecvWrSpec> wrs);
 
     /** WRs currently posted (host-side view). */
-    std::size_t depth() const { return ring_.recvQ.size(); }
+    std::size_t depth() const { return ring_.size(); }
 
   private:
     Provider &provider_;
@@ -62,7 +62,7 @@ class SharedReceiveQueue
     /** Expired once the NIC is destroyed (skip teardown calls). */
     std::weak_ptr<void> nicAlive_;
     std::size_t maxWr_;
-    nic::SrqHostRing ring_;
+    nic::RecvRing ring_;
     nic::SrqNum num_ = nic::invalidSrq;
 };
 

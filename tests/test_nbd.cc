@@ -141,6 +141,14 @@ TEST(ServerStore, FlushWaitsForDrain)
 
 namespace {
 
+/** Flip every byte of @p device (a disk that went bad under NBD). */
+void
+corrupt(std::vector<std::uint8_t> &device)
+{
+    for (auto &b : device)
+        b = static_cast<std::uint8_t>(~b);
+}
+
 /** End-to-end integrity run against a real in-memory device. */
 void
 integritySockets(SocketsFabric fabric)
@@ -168,6 +176,12 @@ integritySockets(SocketsFabric fabric)
     ASSERT_TRUE(r.completed);
     EXPECT_TRUE(r.dataOk); // read-back matches the written pattern
     EXPECT_GT(r.mbPerSec, 1.0);
+
+    // The check has teeth: a corrupted device fails the read-back.
+    corrupt(device);
+    auto bad = runNbdSocketsSequential(bed, 0, 1, false, bytes, params);
+    ASSERT_TRUE(bad.completed);
+    EXPECT_FALSE(bad.dataOk);
 }
 
 } // namespace
@@ -203,6 +217,12 @@ TEST(NbdIntegration, QpipWriteReadIntegrity)
     // The lightweight interface shows: far better CPU effectiveness.
     EXPECT_GT(r.mbPerCpuSec, w.clientCpuUtil); // sanity: non-zero
     EXPECT_LT(r.clientCpuUtil, 0.7);
+
+    // The check has teeth: a corrupted device fails the read-back.
+    corrupt(device);
+    auto bad = runNbdQpipSequential(bed, 0, 1, false, bytes, params);
+    ASSERT_TRUE(bad.completed);
+    EXPECT_FALSE(bad.dataOk);
 }
 
 TEST(NbdIntegration, QpipFasterAndCheaperThanSockets)

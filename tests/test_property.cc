@@ -884,3 +884,130 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(RudLossCase{1, 0.0}, RudLossCase{2, 0.02},
                       RudLossCase{3, 0.05}, RudLossCase{4, 0.1},
                       RudLossCase{5, 0.05}));
+
+// ---------------------------------------------------------------------
+// SRQ fan-in on RDMA-framed QPs: random SRQ posts racing random sends
+// from several connections must deliver every message exactly once,
+// intact and in per-connection order. An RDMA-framed Send takes its
+// shared WR only after the deferred RdmaExec parse, so admission must
+// reserve the WR: two QPs admitted against one posted WR would leave
+// the second with nothing to land in.
+// ---------------------------------------------------------------------
+
+class SrqRdmaAdmissionProperty
+    : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(SrqRdmaAdmissionProperty, SharedWrsAreNeverOvercommitted)
+{
+    apps::QpipTestbed bed(2, apps::qpipNativeMtu, GetParam());
+    auto &sim = bed.sim();
+    sim::Random rng(GetParam() * 7919 + 11);
+
+    const auto nQps = static_cast<std::size_t>(rng.uniformInt(2, 4));
+    constexpr std::size_t nMsgs = 48;
+    constexpr std::size_t slot = 2048;
+    constexpr std::size_t maxLen = 1500;
+    verbs::QpAttrs attrs;
+    attrs.rdmaWindowBytes = 24089;
+
+    auto scq = bed.provider(1).createCq();
+    auto ccq = bed.provider(0).createCq();
+    auto srq = bed.provider(1).createSrq();
+    std::vector<std::uint8_t> sbuf(nMsgs * slot), rbuf(nMsgs * slot);
+    auto smr = bed.provider(0).registerMemory(sbuf);
+    auto rmr = bed.provider(1).registerMemory(rbuf);
+
+    verbs::QpAttrs server_attrs = attrs;
+    server_attrs.srq = srq;
+    verbs::Acceptor acc(bed.provider(1), 7, scq, scq);
+    std::vector<std::shared_ptr<verbs::QueuePair>> servers;
+    std::vector<std::shared_ptr<verbs::QueuePair>> clients;
+    std::size_t connected = 0;
+    for (std::size_t q = 0; q < nQps; ++q) {
+        acc.acceptOne(
+            [&](std::shared_ptr<verbs::QueuePair> qp) {
+                servers.push_back(std::move(qp));
+            },
+            server_attrs);
+        clients.push_back(bed.provider(0).createQp(
+            nic::QpType::ReliableTcp, ccq, ccq, attrs));
+        clients.back()->connect(bed.addr(1, 7), [&](bool ok) {
+            connected += ok ? 1 : 0;
+        });
+    }
+    ASSERT_TRUE(sim.runUntilCondition(
+        [&] { return connected == nQps && servers.size() == nQps; },
+        sim.now() + 30 * sim::oneSec));
+
+    // Message m: byte 0 names its client, then a pattern keyed by m.
+    std::vector<std::size_t> owner(nMsgs), length(nMsgs);
+    std::vector<std::vector<std::size_t>> perClient(nQps);
+    std::size_t sent = 0, posted = 0;
+    auto post_wrs = [&](std::size_t k) {
+        for (; k > 0 && posted < nMsgs; --k, ++posted)
+            ASSERT_TRUE(srq->postRecv(posted, *rmr, posted * slot, slot));
+    };
+    while (sent < nMsgs) {
+        if (rng.uniformInt(0, 2) == 0) {
+            post_wrs(static_cast<std::size_t>(rng.uniformInt(0, 2)));
+        } else {
+            const std::size_t m = sent++;
+            owner[m] = static_cast<std::size_t>(
+                rng.uniformInt(0, nQps - 1));
+            length[m] =
+                static_cast<std::size_t>(rng.uniformInt(1, maxLen));
+            sbuf[m * slot] = static_cast<std::uint8_t>(owner[m]);
+            for (std::size_t b = 1; b < length[m]; ++b)
+                sbuf[m * slot + b] =
+                    static_cast<std::uint8_t>(m * 31 + b * 7 + 1);
+            perClient[owner[m]].push_back(m);
+            ASSERT_TRUE(clients[owner[m]]->postSend(m, *smr, m * slot,
+                                                    length[m]));
+        }
+        sim.runFor(static_cast<sim::Tick>(
+            rng.uniformInt(0, 40) * sim::oneUs));
+    }
+    post_wrs(nMsgs);
+
+    std::vector<verbs::Completion> recvs;
+    std::size_t sendsDone = 0;
+    ASSERT_TRUE(sim.runUntilCondition(
+        [&] {
+            verbs::Completion c;
+            while (scq->poll(c))
+                recvs.push_back(c);
+            while (ccq->poll(c)) {
+                EXPECT_EQ(c.status, verbs::WcStatus::Success);
+                ++sendsDone;
+            }
+            return recvs.size() == nMsgs && sendsDone == nMsgs;
+        },
+        sim.now() + 120 * sim::oneSec))
+        << "delivered " << recvs.size() << "/" << nMsgs << ", sent "
+        << sendsDone << "/" << nMsgs;
+
+    // Each WR holds one whole message; per client, messages land in
+    // posting order.
+    std::vector<std::size_t> nextOf(nQps, 0);
+    std::vector<bool> slotUsed(nMsgs, false);
+    for (const auto &c : recvs) {
+        ASSERT_EQ(c.status, verbs::WcStatus::Success);
+        ASSERT_LT(c.wrId, nMsgs);
+        EXPECT_FALSE(slotUsed[c.wrId]);
+        slotUsed[c.wrId] = true;
+        const std::uint8_t *got = rbuf.data() + c.wrId * slot;
+        const std::size_t client = got[0];
+        ASSERT_LT(client, nQps);
+        ASSERT_LT(nextOf[client], perClient[client].size());
+        const std::size_t m = perClient[client][nextOf[client]++];
+        ASSERT_EQ(c.byteLen, length[m]) << "msg " << m;
+        EXPECT_TRUE(std::equal(got, got + length[m],
+                               sbuf.data() + m * slot))
+            << "msg " << m;
+    }
+    EXPECT_EQ(srq->depth(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SrqRdmaAdmissionProperty,
+                         ::testing::Range<std::uint64_t>(1, 11));

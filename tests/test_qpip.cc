@@ -371,6 +371,46 @@ TEST(QpipVerbs, DisconnectFlushesPostedReceives)
     EXPECT_EQ(flushed[1], 42u);
 }
 
+// connect() and disconnect() defer their work to a management-FSM
+// stage; destroying the QP before that stage runs must leave it
+// nothing to touch (it re-looks-up the QP number).
+TEST(QpipVerbs, DestroyRightAfterConnectSendsNothing)
+{
+    QpipTestbed bed(2);
+    auto cq0 = bed.provider(0).createCq();
+    auto cq1 = bed.provider(1).createCq();
+    verbs::Acceptor acc(bed.provider(1), 700, cq1, cq1);
+    bool accepted = false;
+    acc.acceptOne(
+        [&](std::shared_ptr<verbs::QueuePair>) { accepted = true; });
+    auto qp = bed.provider(0).createQp(nic::QpType::ReliableTcp, cq0,
+                                       cq0);
+    const auto num = qp->num();
+    bool done = false;
+    qp->connect(bed.addr(1, 700), [&](bool) { done = true; });
+    qp.reset();
+    bed.sim().runFor(100 * sim::oneMs);
+    EXPECT_FALSE(done);
+    EXPECT_FALSE(accepted);
+    EXPECT_EQ(bed.nicOf(0).connectionOf(num), nullptr);
+}
+
+TEST(QpipVerbs, DestroyRightAfterDisconnectResetsThePeer)
+{
+    QpipTestbed bed(2);
+    RcPair p(bed);
+    ASSERT_TRUE(p.ready());
+    ASSERT_TRUE(p.qp1->postRecv(41, *p.mr1, 0, 512));
+    p.qp0->disconnect();
+    p.qp0.reset();
+    // The abort's RST, not a FIN exchange, ends the peer's side.
+    Completion c;
+    ASSERT_TRUE(awaitCompletion(bed, *p.cq1, c, 30 * sim::oneSec));
+    EXPECT_FALSE(c.isSend);
+    EXPECT_EQ(c.wrId, 41u);
+    EXPECT_EQ(c.status, WcStatus::RemoteReset);
+}
+
 TEST(QpipVerbs, SgeBeyondRegionFailsSend)
 {
     QpipTestbed bed(2);

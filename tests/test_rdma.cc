@@ -704,6 +704,64 @@ TEST(Srq, RdmaWindowCountsTowardTheReplenishThreshold)
     EXPECT_EQ(conn->stats().segsOut.value() - segs0, 1u);
 }
 
+TEST(Srq, DestroyingAnAttachedQpKeepsSharedWrsPosted)
+{
+    QpipTestbed bed(2);
+    auto &sender = bed.provider(0);
+    auto &server = bed.provider(1);
+
+    auto scq = server.createCq();
+    auto srq = server.createSrq();
+    std::vector<std::uint8_t> rbuf(4096), sbuf(256);
+    auto rmr = server.registerMemory(rbuf);
+    auto smr = sender.registerMemory(sbuf);
+    for (std::uint64_t i = 0; i < 4; ++i)
+        ASSERT_TRUE(srq->postRecv(100 + i, *rmr, i * 1024, 1024));
+
+    QpAttrs server_attrs;
+    server_attrs.srq = srq;
+    verbs::Acceptor acc(server, 700, scq, scq);
+    std::vector<std::shared_ptr<verbs::QueuePair>> serverQps;
+    auto ccq = sender.createCq();
+    std::vector<std::shared_ptr<verbs::QueuePair>> clientQps;
+    std::size_t connected = 0;
+    for (int i = 0; i < 2; ++i) {
+        acc.acceptOne(
+            [&](std::shared_ptr<verbs::QueuePair> q) {
+                serverQps.push_back(std::move(q));
+            },
+            server_attrs);
+        clientQps.push_back(
+            sender.createQp(nic::QpType::ReliableTcp, ccq, ccq));
+        clientQps.back()->connect(bed.addr(1, 700), [&](bool ok) {
+            connected += ok ? 1 : 0;
+        });
+    }
+    ASSERT_TRUE(bed.sim().runUntilCondition(
+        [&] { return connected == 2 && serverQps.size() == 2; },
+        bed.sim().now() + 20 * sim::oneSec));
+
+    // Tearing one attached QP down flushes its own (empty) ring, not
+    // the shared one.
+    serverQps[0].reset();
+    bed.sim().runFor(10 * sim::oneMs);
+    EXPECT_EQ(scq->depth(), 0u);
+    EXPECT_EQ(srq->depth(), 4u);
+
+    // The survivor still lands in the SRQ's WRs, oldest first.
+    ASSERT_TRUE(clientQps[1]->postSend(7, *smr, 0, 200));
+    Completion c;
+    ASSERT_TRUE(awaitCompletion(bed, *scq, c, 20 * sim::oneSec));
+    EXPECT_FALSE(c.isSend);
+    EXPECT_EQ(c.qp, serverQps[1]->num());
+    EXPECT_EQ(c.wrId, 100u);
+    EXPECT_EQ(c.status, WcStatus::Success);
+    EXPECT_EQ(c.byteLen, 200u);
+    bed.sim().runFor(10 * sim::oneMs);
+    EXPECT_EQ(scq->depth(), 0u); // no Flushed receive completions
+    EXPECT_EQ(srq->depth(), 3u);
+}
+
 // ---------------------------------------------------------------------
 // QP context cache
 // ---------------------------------------------------------------------
