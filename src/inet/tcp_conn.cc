@@ -34,21 +34,21 @@ void
 TcpStats::registerIn(sim::StatRegistry &registry, std::string prefix)
 {
     group_.clear();
-    group_.init(registry, std::move(prefix));
-    group_.add("segsOut", segsOut);
-    group_.add("segsIn", segsIn);
-    group_.add("bytesOut", bytesOut);
-    group_.add("bytesIn", bytesIn);
-    group_.add("retransmits", retransmits);
-    group_.add("fastRetransmits", fastRetransmits);
-    group_.add("timeouts", timeouts);
-    group_.add("dupAcksIn", dupAcksIn);
-    group_.add("oooSegments", oooSegments);
-    group_.add("oooDropped", oooDropped);
-    group_.add("hdrPredicted", hdrPredicted);
-    group_.add("msgRefused", msgRefused);
-    group_.add("persistProbes", persistProbes);
-    group_.add("badSegments", badSegments);
+    group_.init(registry, std::move(prefix),
+                {{"segsOut", segsOut},
+                 {"segsIn", segsIn},
+                 {"bytesOut", bytesOut},
+                 {"bytesIn", bytesIn},
+                 {"retransmits", retransmits},
+                 {"fastRetransmits", fastRetransmits},
+                 {"timeouts", timeouts},
+                 {"dupAcksIn", dupAcksIn},
+                 {"oooSegments", oooSegments},
+                 {"oooDropped", oooDropped},
+                 {"hdrPredicted", hdrPredicted},
+                 {"msgRefused", msgRefused},
+                 {"persistProbes", persistProbes},
+                 {"badSegments", badSegments}});
 }
 
 TcpConnection::TcpConnection(TcpEnv &env, TcpObserver &observer,

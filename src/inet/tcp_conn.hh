@@ -226,9 +226,9 @@ struct TcpStats
     sim::Counter badSegments;
 
     /**
-     * Publish every counter under "<prefix>.<name>" in @p registry.
-     * The registrations share the connection's lifetime (unregistered
-     * when the TcpStats is destroyed).
+     * Publish every counter under "<prefix>.<name>" in @p registry as
+     * one registry node, which shares the connection's lifetime
+     * (withdrawn when the TcpStats is destroyed).
      */
     void registerIn(sim::StatRegistry &registry, std::string prefix);
 

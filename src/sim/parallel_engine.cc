@@ -37,13 +37,13 @@ ParallelEngine::ParallelEngine(Simulation &sim, int threads)
     if (sim_.parallelEngine() != nullptr)
         panic("ParallelEngine: simulation already has an engine");
     sim_.engine_ = this;
-    statGroup_.init(sim_.stats(), "parallel");
-    statGroup_.add("epochs", statEpochs_);
-    statGroup_.add("mailboxPosts", statMailboxPosts_);
-    statGroup_.add("batchedPosts", statBatchedPosts_);
-    statGroup_.add("horizonStalls", statHorizonStalls_);
-    statGroup_.add("epochEventsMax", statEpochEventsMax_);
-    statGroup_.add("epochEventsMin", statEpochEventsMin_);
+    statGroup_.init(sim_.stats(), "parallel",
+                    {{"epochs", statEpochs_},
+                     {"mailboxPosts", statMailboxPosts_},
+                     {"batchedPosts", statBatchedPosts_},
+                     {"horizonStalls", statHorizonStalls_},
+                     {"epochEventsMax", statEpochEventsMax_},
+                     {"epochEventsMin", statEpochEventsMin_}});
     workers_.reserve(static_cast<std::size_t>(threads_ - 1));
     for (int i = 1; i < threads_; ++i)
         workers_.emplace_back([this] { workerLoop(); });

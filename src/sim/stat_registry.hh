@@ -1,19 +1,26 @@
 /**
  * @file
  * Hierarchical statistics registry: every Counter/SampleStat/Histogram
- * in the simulation registers under a dotted path (e.g.
+ * in the simulation is published under a dotted path (e.g.
  * "host0.qnic.fw.stage.getWr") so tests, benches and reports can
  * enumerate, pattern-match and dump them uniformly instead of
- * hand-plumbing struct fields. The registry stores non-owning pointers;
- * StatGroup ties registration lifetime to the owning object so paths
- * never dangle.
+ * hand-plumbing struct fields. The registry holds one node per
+ * StatGroup: the group's prefix plus its table of (leaf, stat). Dotted
+ * paths are built only where someone reads them, so publishing and
+ * withdrawing a group costs one node insert and one node erase however
+ * many stats it carries. StatGroup ties the node to the owning object
+ * so paths never dangle.
  */
 
 #pragma once
 
-#include <map>
+#include <initializer_list>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -27,21 +34,37 @@ namespace qpip::sim {
 bool statPatternMatch(const std::string &pattern,
                       const std::string &path);
 
+/** One stat of a group, published as "<prefix>.<name>". */
+struct StatLeaf
+{
+    StatLeaf(std::string leaf, const Counter &c)
+        : name(std::move(leaf)), counter(&c)
+    {}
+    StatLeaf(std::string leaf, const SampleStat &s)
+        : name(std::move(leaf)), sample(&s)
+    {}
+    StatLeaf(std::string leaf, const Histogram &h)
+        : name(std::move(leaf)), histogram(&h)
+    {}
+
+    std::string name;
+    const Counter *counter = nullptr;
+    const SampleStat *sample = nullptr;
+    const Histogram *histogram = nullptr;
+};
+
+class StatGroup;
+
 /**
- * The registry. One per Simulation; ordered by path so enumeration and
- * JSON dumps are deterministic.
+ * The registry. One per Simulation. Lookups and dumps speak full
+ * dotted paths; enumeration and JSON dumps are sorted by full path so
+ * they are deterministic.
  */
 class StatRegistry
 {
   public:
-    void add(const std::string &path, const Counter &c);
-    void add(const std::string &path, const SampleStat &s);
-    void add(const std::string &path, const Histogram &h);
-
-    /** Unregister one path (no-op when absent). */
-    void remove(const std::string &path);
-
     bool contains(const std::string &path) const;
+    /** Number of registered stats (leaves, not groups). */
     std::size_t size() const;
 
     /** Typed lookup; nullptr when absent or a different kind. */
@@ -64,29 +87,46 @@ class StatRegistry
     std::string jsonDump(const std::string &pattern = "*") const;
 
   private:
-    struct Entry
-    {
-        const Counter *counter = nullptr;
-        const SampleStat *sample = nullptr;
-        const Histogram *histogram = nullptr;
-    };
+    friend class StatGroup;
 
-    void insert(const std::string &path, Entry entry);
+    /** Nodes keyed by prefix; the key views the group's own prefix. */
+    using Nodes = std::unordered_multimap<std::string_view, StatGroup *>;
+
+    /**
+     * Append @p fresh to @p group, making the group a node on its
+     * first leaf. Panics if any resulting path is already registered.
+     */
+    void attach(StatGroup &group, std::span<const StatLeaf> fresh);
+    /** Withdraw @p group's node (it must hold at least one leaf). */
+    void detach(StatGroup &group);
+
+    /** Panic if "<prefix>.<leaf>" exists for any leaf of @p fresh. */
+    void checkFree(std::string_view prefix,
+                   std::span<const StatLeaf> fresh) const;
+    /** The leaf @p name of a group at exactly @p prefix, if any. */
+    const StatLeaf *leafOf(std::string_view prefix,
+                           std::string_view name) const;
+    const StatLeaf *find(std::string_view path) const;
+    /** (path, leaf) of every stat matching @p pattern, sorted. */
+    std::vector<std::pair<std::string, const StatLeaf *>>
+    collect(const std::string &pattern) const;
 
     /**
      * Registration happens at runtime (per-connection TCP stats), so
-     * under a parallel engine concurrent partitions may add/remove
-     * paths; the map itself needs a lock. Entry *values* are written
-     * only by their single owning partition and read after runs.
+     * under a parallel engine concurrent partitions may attach and
+     * detach groups; the node map and every registered group's leaf
+     * table are guarded by this lock. Stat *values* are written only
+     * by their single owning partition and read after runs.
      */
     mutable std::mutex m_;
-    std::map<std::string, Entry> entries_;
+    Nodes nodes_;
+    std::size_t leaves_ = 0;
 };
 
 /**
- * A set of registrations sharing a prefix whose lifetime is bound to
- * the owning object: the destructor unregisters every path added
- * through the group.
+ * A set of stats sharing a prefix whose lifetime is bound to the
+ * owning object: one registry node while it holds any leaf, withdrawn
+ * by the destructor.
  */
 class StatGroup
 {
@@ -97,34 +137,35 @@ class StatGroup
     StatGroup(const StatGroup &) = delete;
     StatGroup &operator=(const StatGroup &) = delete;
 
-    /** Bind to @p registry with @p prefix (must be unbound). */
-    void init(StatRegistry &registry, std::string prefix);
+    /**
+     * Bind to @p registry with @p prefix (must be unbound) and publish
+     * the leaf table @p leaves, if any, as one registry node.
+     */
+    void init(StatRegistry &registry, std::string prefix,
+              std::initializer_list<StatLeaf> leaves = {});
 
     bool bound() const { return registry_ != nullptr; }
     const std::string &prefix() const { return prefix_; }
 
-    /** Register @p stat as "<prefix>.<leaf>". @pre bound(). */
+    /** Publish @p stat as "<prefix>.<leaf>". @pre bound(). */
     template <typename Stat>
     void
-    add(const std::string &leaf, const Stat &stat)
+    add(std::string leaf, const Stat &stat)
     {
-        registry_->add(path(leaf), stat);
-        paths_.push_back(path(leaf));
+        const StatLeaf l(std::move(leaf), stat);
+        registry_->attach(*this, {&l, 1});
     }
 
-    /** Unregister everything and unbind. */
+    /** Withdraw every leaf and unbind. */
     void clear();
 
   private:
-    std::string
-    path(const std::string &leaf) const
-    {
-        return prefix_.empty() ? leaf : prefix_ + "." + leaf;
-    }
+    friend class StatRegistry;
 
     StatRegistry *registry_ = nullptr;
     std::string prefix_;
-    std::vector<std::string> paths_;
+    /** A registry node exactly while this holds any leaf. */
+    std::vector<StatLeaf> leaves_;
 };
 
 } // namespace qpip::sim

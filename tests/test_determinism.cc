@@ -283,7 +283,7 @@ runParallelRdmaSrq(int threads, std::uint64_t seed)
 
     for (std::size_t i = 0; i < std::size(clients); ++i) {
         auto &c = cs[i];
-        auto postNext = [&bed, &c, &rmr, i](auto &&self) -> void {
+        auto postNext = [&bed, &c, &rmr, i, opBytes](auto &&self) -> void {
             if (c.done >= opsPerClient)
                 return;
             const auto roff =

@@ -284,6 +284,23 @@ TEST(LintProjectRules, S1FiresOnRegistryViolations)
               std::string::npos);
 }
 
+TEST(LintProjectRules, S1ReadsGroupLeafTables)
+{
+    const auto diags =
+        lintProject(loadFixtures({"s1_group_fire.cc"}), projectOnly());
+    ASSERT_EQ(diags.size(), 2u);
+    for (const auto &d : diags)
+        EXPECT_EQ(d.rule, "S1");
+    EXPECT_EQ(diags[0].line, 19); // second "retx" in one leaf table
+    EXPECT_NE(diags[0].message.find("first at line 18"),
+              std::string::npos);
+    // "conn.segsOut" resolves against the table; the typo does not.
+    EXPECT_EQ(diags[1].line, 26);
+    EXPECT_NE(diags[1].message.find("conn.segsOot"), std::string::npos);
+    EXPECT_NE(diags[1].message.find("silently read 0"),
+              std::string::npos);
+}
+
 TEST(LintProjectRules, W2FiresOnDivergenceAndOrphans)
 {
     const auto diags =

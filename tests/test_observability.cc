@@ -24,6 +24,7 @@
 #include "inet/ip_frag.hh"
 #include "inet/ipv4.hh"
 #include "inet/ipv6.hh"
+#include "inet/tcp_conn.hh"
 #include "inet/tcp_header.hh"
 #include "inet/udp.hh"
 #include "net/link.hh"
@@ -376,9 +377,11 @@ TEST(StatRegistry, RegisterLookupRemove)
     s.sample(2.5);
     h.sample(3.0);
 
-    reg.add("node0.nic.pkts", c);
-    reg.add("node0.nic.lat", s);
-    reg.add("node0.nic.sizes", h);
+    sim::StatGroup nic;
+    nic.init(reg, "node0.nic", {{"pkts", c}, {"sizes", h}});
+    // A second group may share the prefix with different leaves.
+    sim::StatGroup latency;
+    latency.init(reg, "node0.nic", {{"lat", s}});
     EXPECT_EQ(reg.size(), 3u);
 
     ASSERT_NE(reg.counter("node0.nic.pkts"), nullptr);
@@ -396,7 +399,7 @@ TEST(StatRegistry, RegisterLookupRemove)
     EXPECT_EQ(reg.sample("node0.nic.pkts"), nullptr);
     EXPECT_EQ(reg.histogram("node0.nic.pkts"), nullptr);
 
-    reg.remove("node0.nic.lat");
+    latency.clear();
     EXPECT_FALSE(reg.contains("node0.nic.lat"));
     EXPECT_EQ(reg.size(), 2u);
 }
@@ -419,9 +422,9 @@ TEST(StatRegistry, PatternMatching)
 
     sim::Counter c1, c2, c3;
     sim::StatRegistry reg;
-    reg.add("host0.nic.tx", c1);
-    reg.add("host0.nic.rx", c2);
-    reg.add("host1.nic.tx", c3);
+    sim::StatGroup nic0, nic1;
+    nic0.init(reg, "host0.nic", {{"tx", c1}, {"rx", c2}});
+    nic1.init(reg, "host1.nic", {{"tx", c3}});
     EXPECT_EQ(reg.match("*.tx").size(), 2u);
     EXPECT_EQ(reg.match("host0.*").size(), 2u);
     EXPECT_EQ(reg.match("*").size(), 3u);
@@ -437,8 +440,8 @@ TEST(StatRegistry, JsonDumpRoundTrips)
     s.sample(0.5);
     s.sample(1.5);
     s.sample(4.0);
-    reg.add("x.count", c);
-    reg.add("x.lat", s);
+    sim::StatGroup x;
+    x.init(reg, "x", {{"count", c}, {"lat", s}});
 
     auto parsed = parseJson(reg.jsonDump());
     ASSERT_TRUE(parsed.has_value());
@@ -462,6 +465,138 @@ TEST(StatRegistry, JsonDumpRoundTrips)
     auto partial = parseJson(reg.jsonDump("*.count"));
     ASSERT_TRUE(partial.has_value());
     EXPECT_EQ(partial->obj.size(), 1u);
+}
+
+TEST(StatRegistry, DuplicateFullPathPanics)
+{
+    sim::Counter c1, c2;
+    // Two groups on one prefix with the same leaf.
+    const auto samePrefix = [&] {
+        sim::StatRegistry reg;
+        sim::StatGroup g1, g2;
+        g1.init(reg, "a.b", {{"c", c1}});
+        g2.init(reg, "a.b", {{"c", c2}});
+    };
+    EXPECT_DEATH(samePrefix(), "duplicate stat path 'a.b.c'");
+    // One group naming a leaf twice, in its table or by a later add.
+    const auto tableTwice = [&] {
+        sim::StatRegistry reg;
+        sim::StatGroup twice;
+        // qpip-lint: stat-path-ok(the duplicate is the point: it must panic)
+        twice.init(reg, "a", {{"c", c1}, {"c", c2}});
+    };
+    EXPECT_DEATH(tableTwice(), "duplicate stat path 'a.c'");
+    const auto addTwice = [&] {
+        sim::StatRegistry reg;
+        sim::StatGroup late;
+        late.init(reg, "a", {{"c", c1}});
+        // qpip-lint: stat-path-ok(the duplicate is the point: it must panic)
+        late.add("c", c2);
+    };
+    EXPECT_DEATH(addTwice(), "duplicate stat path 'a.c'");
+    // A dotted leaf of group "a" against a leaf of group "a.b", in
+    // either registration order, and against the unnamed prefix.
+    const auto outerFirst = [&] {
+        sim::StatRegistry reg;
+        sim::StatGroup a1, ab1;
+        a1.init(reg, "a", {{"b.c", c1}});
+        ab1.init(reg, "a.b", {{"c", c2}});
+    };
+    EXPECT_DEATH(outerFirst(), "duplicate stat path 'a.b.c'");
+    const auto innerFirst = [&] {
+        sim::StatRegistry reg;
+        sim::StatGroup a2, ab2;
+        ab2.init(reg, "a.b", {{"c", c2}});
+        a2.init(reg, "a", {{"b.c", c1}});
+    };
+    EXPECT_DEATH(innerFirst(), "duplicate stat path 'a.b.c'");
+    const auto unnamedFirst = [&] {
+        sim::StatRegistry reg;
+        sim::StatGroup unnamed, ab3;
+        unnamed.init(reg, "", {{"a.b.c", c1}});
+        ab3.init(reg, "a.b", {{"c", c2}});
+    };
+    EXPECT_DEATH(unnamedFirst(), "duplicate stat path 'a.b.c'");
+
+    // Prefixes that merely share characters, and a path that is a
+    // prefix of another, are not duplicates.
+    sim::StatRegistry reg;
+    sim::StatGroup outer, inner, deeper;
+    outer.init(reg, "a", {{"b.c", c1}, {"bc", c1}});
+    inner.init(reg, "a.b", {{"cd", c2}, {"c.d", c2}});
+    deeper.init(reg, "a.b.c.d", {{"e", c2}});
+    EXPECT_EQ(reg.size(), 5u);
+    EXPECT_EQ(reg.counter("a.b.c"), &c1);
+    EXPECT_EQ(reg.counter("a.b.c.d"), &c2);
+    EXPECT_EQ(reg.counter("a.b.c.d.e"), &c2);
+    EXPECT_FALSE(reg.contains("a.b"));
+}
+
+TEST(StatRegistry, InterleavedPrefixesStaySortedByFullPath)
+{
+    sim::Counter c[6];
+    for (int i = 0; i < 6; ++i)
+        c[i].inc(static_cast<std::uint64_t>(i));
+    sim::StatRegistry reg;
+    sim::StatGroup ab, abc, a;
+    abc.init(reg, "a.b.c", {{"d", c[0]}});
+    ab.init(reg, "a.b", {{"z", c[1]}, {"c0", c[2]}});
+    a.init(reg, "a", {{"bz", c[3]}, {"b.y", c[4]}});
+    ab.add("c.e", c[5]);
+
+    // Bytewise order of the full paths ('.' < '0' < 'y' < 'z'): a leaf
+    // of "a" lands between two leaves of "a.b", and "a.b.c.d" sorts
+    // ahead of "a.b.c0".
+    const std::vector<std::string> want = {"a.b.c.d", "a.b.c.e", "a.b.c0",
+                                           "a.b.y",   "a.b.z",   "a.bz"};
+    EXPECT_EQ(reg.match(), want);
+    EXPECT_EQ(reg.match("a.b.c*"),
+              (std::vector<std::string>{"a.b.c.d", "a.b.c.e", "a.b.c0"}));
+    EXPECT_EQ(reg.jsonDump(),
+              "{\n"
+              "  \"a.b.c.d\": {\"kind\": \"counter\", \"value\": 0},\n"
+              "  \"a.b.c.e\": {\"kind\": \"counter\", \"value\": 5},\n"
+              "  \"a.b.c0\": {\"kind\": \"counter\", \"value\": 2},\n"
+              "  \"a.b.y\": {\"kind\": \"counter\", \"value\": 4},\n"
+              "  \"a.b.z\": {\"kind\": \"counter\", \"value\": 1},\n"
+              "  \"a.bz\": {\"kind\": \"counter\", \"value\": 3}\n"
+              "}");
+    EXPECT_EQ(reg.counterValue("a.b.c.e"), 5u);
+    EXPECT_EQ(reg.counterValue("a.b.y"), 4u);
+}
+
+TEST(StatRegistry, TcpConnectionsLeaveNoTrace)
+{
+    apps::QpipTestbed bed(2);
+    auto &stats = bed.sim().stats();
+    const std::size_t size0 = stats.size();
+    const std::string dump0 = stats.jsonDump();
+
+    // Per-connection stats sit under the NIC's own group, as QPs do.
+    constexpr std::size_t n = 64;
+    std::vector<std::unique_ptr<inet::TcpStats>> conns;
+    for (std::size_t i = 0; i < n; ++i) {
+        conns.push_back(std::make_unique<inet::TcpStats>());
+        conns.back()->segsOut.inc(i + 1);
+        conns.back()->registerIn(
+            stats, "host" + std::to_string(i % 2) + ".qnic.qp" +
+                       std::to_string(i) + ".tcp");
+    }
+    EXPECT_EQ(stats.size(), size0 + 14 * n);
+    EXPECT_EQ(stats.counterValue("host1.qnic.qp7.tcp.segsOut"), 8u);
+    EXPECT_EQ(stats.match("host0.qnic.qp*.tcp.segsOut").size(), n / 2);
+    // Re-registering moves a connection's node, never duplicates it.
+    conns[3]->registerIn(stats, "host1.qnic.qp1003.tcp");
+    EXPECT_EQ(stats.size(), size0 + 14 * n);
+    EXPECT_FALSE(stats.contains("host1.qnic.qp3.tcp.segsOut"));
+    EXPECT_EQ(stats.counterValue("host1.qnic.qp1003.tcp.segsOut"), 4u);
+
+    // Tear down out of registration order.
+    for (std::size_t i = 0; i < n; i += 2)
+        conns[i].reset();
+    conns.clear();
+    EXPECT_EQ(stats.size(), size0);
+    EXPECT_EQ(stats.jsonDump(), dump0);
 }
 
 TEST(StatRegistry, SimObjectsAutoRegisterAndUnregister)
@@ -514,6 +649,47 @@ TEST(StatRegistry, PerConnectionTcpStatsAppearOnConnect)
     ASSERT_EQ(server.size(), 1u);
     EXPECT_GT(stats.counterValue(client[0]), 0u);
     EXPECT_GT(stats.counterValue(server[0]), 0u);
+}
+
+namespace {
+
+/** FNV-1a 64 of a whole dump: one number pins every byte of it. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+} // namespace
+
+// The whole registry dump of a full testbed after real traffic, pinned
+// byte for byte: every path, its sort position, every kind and every
+// value. Any change to how stats are stored or walked must leave these
+// digests alone.
+TEST(StatRegistry, FullTestbedDumpsArePinned)
+{
+    {
+        apps::QpipTestbed bed(2);
+        ASSERT_TRUE(apps::runQpipTcpPingPong(bed, 16).completed);
+        const std::string dump = bed.sim().stats().jsonDump();
+        EXPECT_NE(dump.find(".tcp.segsOut\""), std::string::npos);
+        EXPECT_EQ(bed.sim().stats().match().size(), 168u);
+        EXPECT_EQ(fnv1a(dump), 0x9d67693d7c11ddf8ull) << dump;
+    }
+    {
+        apps::SocketsTestbed bed(2,
+                                 apps::SocketsFabric::GigabitEthernet);
+        ASSERT_TRUE(apps::runSocketsTtcp(bed, 256 * 1024).completed);
+        const std::string dump = bed.sim().stats().jsonDump();
+        EXPECT_NE(dump.find(".tcp.conn0.segsOut\""), std::string::npos);
+        EXPECT_EQ(bed.sim().stats().match().size(), 72u);
+        EXPECT_EQ(fnv1a(dump), 0xf75b3d460b3f8314ull) << dump;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -218,6 +218,7 @@ collectStatSites(const FileData &f, const std::vector<Lit> &lits,
 {
     const std::string &all = f.all;
     const std::vector<std::size_t> scopes = scopeBoundaries(all);
+    const std::size_t firstAdd = ix.statAdds.size();
 
     static const std::regex addRe(
         R"((\bregStat|\.\s*add|->\s*add)\s*\()");
@@ -256,6 +257,53 @@ collectStatSites(const FileData &f, const std::vector<Lit> &lits,
             scopes, static_cast<std::size_t>(it->position()));
         ix.statAdds.push_back(std::move(site));
     }
+
+    // Leaf tables: StatGroup::init(registry, prefix, {{"leaf", stat},
+    // ...}) registers every pair whose first element is one literal.
+    static const std::regex initRe(R"((\.|->)\s*init\s*\()");
+    for (auto it = std::sregex_iterator(all.begin(), all.end(), initRe);
+         it != std::sregex_iterator(); ++it) {
+        const std::size_t open = static_cast<std::size_t>(
+            it->position() + it->length() - 1);
+        const std::size_t close = skipParens(all, open);
+        if (close == std::string::npos)
+            continue;
+        const auto nextSolid = [&all](std::size_t p) {
+            while (p < all.size() &&
+                   std::isspace(static_cast<unsigned char>(all[p])))
+                ++p;
+            return p;
+        };
+        for (std::size_t b = all.find('{', open); b < close;
+             b = all.find('{', b + 1)) {
+            // The code view blanks literal bodies, so a literal first
+            // element reads '{""' followed by ','.
+            const std::size_t quote = nextSolid(b + 1);
+            if (all.compare(quote, 2, "\"\"") != 0 ||
+                all[nextSolid(quote + 2)] != ',')
+                continue;
+            const auto bodies = literalsInRange(lits, quote, quote + 1);
+            if (bodies.empty())
+                continue;
+            StatAddSite site;
+            site.file = &f;
+            site.line = f.lineOf(quote);
+            site.receiver = identBefore(
+                all, static_cast<std::size_t>(it->position()));
+            site.literals.push_back(*bodies.front());
+            site.wholeLiteral = true;
+            site.scopeId = scopeIdAt(
+                scopes, static_cast<std::size_t>(it->position()));
+            ix.statAdds.push_back(std::move(site));
+        }
+    }
+    // Source order, so "first at line" names the earlier of two sites.
+    std::stable_sort(ix.statAdds.begin() + static_cast<std::ptrdiff_t>(
+                                               firstAdd),
+                     ix.statAdds.end(),
+                     [](const StatAddSite &a, const StatAddSite &b) {
+                         return a.line < b.line;
+                     });
 
     static const std::regex lookRe(
         R"((\.|->)\s*(counter|counterValue|sample|histogram|match|jsonDump)\s*\()");

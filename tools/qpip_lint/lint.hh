@@ -26,7 +26,8 @@
  * Project-wide (cross-file, index-driven) rule families (v2):
  *
  *   S1  stat-path registry: every registration literal handed to
- *       StatRegistry/StatGroup::add or SimObject::regStat must
+ *       StatGroup::add or SimObject::regStat, or opening a
+ *       {"leaf", stat} pair of a StatGroup::init leaf table, must
  *       follow the dotted-path grammar and be unique per
  *       registration scope, and every stat lookup/glob literal in
  *       src/, tests/ and bench/ must resolve against the registered
