@@ -20,14 +20,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <span>
 #include <vector>
+
+#include "sim/fifo.hh"
 
 namespace qpip::inet {
 
 /**
- * FIFO of bytes stored as a deque of chunks.
+ * FIFO of bytes stored as a queue of chunks.
  */
 class ByteFifo
 {
@@ -141,7 +142,7 @@ class ByteFifo
     }
 
   private:
-    std::deque<std::vector<std::uint8_t>> chunks_;
+    sim::Fifo<std::vector<std::uint8_t>> chunks_;
     std::size_t headOffset_ = 0;
     std::size_t size_ = 0;
 

@@ -208,6 +208,8 @@ class InetStack : public TcpEnv
     void registerConn(const FourTuple &t, TcpConnection *conn);
     void unregisterConn(const FourTuple &t);
     TcpConnection *lookupConn(const FourTuple &t) const;
+    /** Registered TCP connections (diagnostics/tests). */
+    std::size_t connCount() const { return tcp_.connCount(); }
 
     // --- UDP port table -----------------------------------------------
     /** @return false if the port is already bound. */
@@ -241,7 +243,7 @@ class InetStack : public TcpEnv
     NeighborTable routes_;
     /** Ordered: address/port sets walk in key order when scanned. */
     std::set<InetAddr> localAddrs_;
-    PcbTable<TcpConnection, void> tcp_;
+    PcbTable<TcpConnection> tcp_;
     std::map<std::uint16_t, UdpEndpoint *> udpPorts_;
     IpReassembler reass_;
     std::uint16_t identCounter_ = 1;

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <span>
@@ -45,6 +44,7 @@
 #include "inet/tcp_header.hh"
 #include "inet/tcp_reass.hh"
 #include "sim/event_queue.hh"
+#include "sim/fifo.hh"
 #include "sim/stat_registry.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -472,7 +472,7 @@ class TcpConnection
     std::uint64_t rcvOffset_ = 0; ///< logical stream offset of rcvNxt_
 
     // Message mode queue; front is oldest unacked.
-    std::deque<PendingMsg> sendQueue_;
+    sim::Fifo<PendingMsg> sendQueue_;
     std::size_t firstUnsent_ = 0;
 
     // Deferred in-order message retained while no WR was posted.

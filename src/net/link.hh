@@ -14,7 +14,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>

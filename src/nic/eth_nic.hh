@@ -9,11 +9,11 @@
 
 #pragma once
 
-#include <deque>
 
 #include "host/host_stack.hh"
 #include "net/link.hh"
 #include "nic/dma.hh"
+#include "sim/fifo.hh"
 #include "sim/stats.hh"
 
 namespace qpip::nic {
@@ -79,7 +79,7 @@ class EthNic : public sim::SimObject,
     net::NodeId node_;
     EthNicParams params_;
     DmaEngine dma_;
-    std::deque<net::PacketPtr> rxRing_;
+    sim::Fifo<net::PacketPtr> rxRing_;
     bool intrPending_ = false;
 };
 

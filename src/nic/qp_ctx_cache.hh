@@ -5,8 +5,10 @@
  * resident (its workloads use a handful of QPs); at SAN server scale
  * the working set outgrows the SRAM and each touch of a non-resident
  * QP costs a host-memory fetch, plus a writeback of the context it
- * displaces. The cache is a strict LRU over deterministic structures
- * (intrusive list + ordered map, never iterated), so replay and
+ * displaces. The cache is a strict LRU kept as an intrusive list
+ * threaded through a dense array indexed by QP number (QP numbers are
+ * handed out densely and never reused), so a hit or a miss is a few
+ * index updates and allocates nothing, and replay and
  * parallel-partition runs see identical hit/miss sequences.
  *
  * Capacity is a count of context blocks. Every firmware stage that
@@ -22,8 +24,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <map>
+#include <vector>
 
 #include "nic/qp_state.hh"
 #include "sim/stats.hh"
@@ -48,7 +49,7 @@ class QpContextCache
     explicit QpContextCache(std::size_t capacity) : capacity_(capacity) {}
 
     bool enabled() const { return capacity_ > 0; }
-    std::size_t size() const { return lru_.size(); }
+    std::size_t size() const { return size_; }
 
     /**
      * Reference @p qp's context (any firmware stage that reads or
@@ -62,9 +63,9 @@ class QpContextCache
         Touch t;
         if (!enabled())
             return t;
-        auto it = index_.find(qp);
-        if (it != index_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second);
+        if (resident(qp)) {
+            unlink(qp);
+            linkMru(qp);
             hits.inc();
             return t;
         }
@@ -83,7 +84,7 @@ class QpContextCache
     install(QpNum qp)
     {
         Touch t;
-        if (!enabled() || index_.count(qp) > 0)
+        if (!enabled() || resident(qp))
             return t;
         insertMru(qp, t);
         return t;
@@ -93,11 +94,8 @@ class QpContextCache
     void
     remove(QpNum qp)
     {
-        auto it = index_.find(qp);
-        if (it == index_.end())
-            return;
-        lru_.erase(it->second);
-        index_.erase(it);
+        if (resident(qp))
+            unlink(qp);
     }
 
     sim::Counter hits;
@@ -105,24 +103,64 @@ class QpContextCache
     sim::Counter evictions;
 
   private:
+    /**
+     * One QP's place in the LRU list. Slot invalidQp (0, never a real
+     * QP) is the list head: its next is the MRU context, its prev the
+     * LRU one, so the list is circular and needs no end cases.
+     */
+    struct Link
+    {
+        QpNum prev = invalidQp;
+        QpNum next = invalidQp;
+        bool resident = false;
+    };
+
+    bool
+    resident(QpNum qp) const
+    {
+        return qp < links_.size() && links_[qp].resident;
+    }
+
+    void
+    unlink(QpNum qp)
+    {
+        Link &l = links_[qp];
+        links_[l.prev].next = l.next;
+        links_[l.next].prev = l.prev;
+        l.resident = false;
+        --size_;
+    }
+
+    /** @pre links_ covers @p qp and @p qp is not resident. */
+    void
+    linkMru(QpNum qp)
+    {
+        Link &l = links_[qp];
+        l.prev = invalidQp;
+        l.next = links_[invalidQp].next;
+        links_[l.next].prev = qp;
+        links_[invalidQp].next = qp;
+        l.resident = true;
+        ++size_;
+    }
+
     void
     insertMru(QpNum qp, Touch &t)
     {
-        if (lru_.size() >= capacity_) {
-            index_.erase(lru_.back());
-            lru_.pop_back();
+        if (size_ >= capacity_) {
+            unlink(links_[invalidQp].prev);
             evictions.inc();
             t.writeback = true;
         }
-        lru_.push_front(qp);
-        index_[qp] = lru_.begin();
+        if (qp >= links_.size())
+            links_.resize(qp + 1); // geometric: QP numbers are dense
+        linkMru(qp);
     }
 
     std::size_t capacity_;
-    /** MRU at front. */
-    std::list<QpNum> lru_;
-    /** Ordered by QP number; lookup only, never iterated. */
-    std::map<QpNum, std::list<QpNum>::iterator> index_;
+    std::size_t size_ = 0;
+    /** Indexed by QP number; [invalidQp] is the list head. */
+    std::vector<Link> links_ = std::vector<Link>(1);
 };
 
 } // namespace qpip::nic

@@ -11,13 +11,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "inet/inet_addr.hh"
+#include "sim/fifo.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -124,14 +124,14 @@ struct Completion
  * A host-memory receive work ring: a QP's own, or a shared receive
  * queue's, whose WRs any attached QP may consume in post order.
  */
-using RecvRing = std::deque<RecvWr>;
+using RecvRing = sim::Fifo<RecvWr>;
 
 /**
  * The host-memory work queues of one QP.
  */
 struct QpHostRings
 {
-    std::deque<SendWr> sendQ;
+    sim::Fifo<SendWr> sendQ;
     RecvRing recvQ;
 };
 
@@ -211,7 +211,7 @@ class CqRing
     }
 
     std::size_t capacity_;
-    std::deque<Completion> entries_;
+    sim::Fifo<Completion> entries_;
     bool armed_ = false;
     std::function<void()> notify_;
 };

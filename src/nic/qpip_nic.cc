@@ -180,6 +180,8 @@ QpipNic::createQp(QpType type, QpHostRings *rings, CqRing *scq,
             sim::fatal("createQp: RDMA framing needs a reliable QP");
         ctx->rdmaWindow = attrs.rdmaWindowBytes;
     }
+    if (num >= qps_.size())
+        qps_.resize(num + 1);
     qps_[num] = std::move(ctx);
     // The management FSM builds the context in SRAM; whatever it
     // displaces goes back to host memory.
@@ -194,20 +196,22 @@ QpipNic::destroyQp(QpNum qp)
     if (ctx == nullptr)
         return;
     fw_.charge(FwStage::Mgmt, params_.costs.mgmtCommand);
-    if (ctx->conn) {
-        uninstallConn(*ctx);
+    if (ctx->conn && ctx->conn->state() != inet::TcpState::Closed) {
+        // The peer learns of the teardown from the RST; closing drops
+        // the PCB entry and flushes the QP (QpContext::onClosed).
         ctx->conn->abort();
+    } else {
+        flushQp(*ctx, WcStatus::Flushed);
     }
     if (ctx->bound)
         engineFor(ctx->type).unbound(*ctx);
-    flushQp(*ctx, WcStatus::Flushed);
     if (ctx->srq != nullptr) {
         ctx->srq->attached.erase({ctx->srqThreshold, ctx->srqSeq});
         // Shared WRs held for messages this QP will never land.
         releaseRecvWrs(*ctx, ctx->recvReserved);
     }
     qpCache_.remove(qp);
-    qps_.erase(qp);
+    qps_[qp].reset();
 }
 
 SrqNum
@@ -297,7 +301,7 @@ QpipNic::installConn(QpContext &qp, const inet::FourTuple &t)
     // Destroy any previous connection first so its stat paths vacate
     // before the new one claims them.
     if (qp.conn) {
-        uninstallConn(qp);
+        inet_.unregisterConn(qp.conn->tuple());
         qp.conn.reset();
     }
     qp.conn = std::make_unique<inet::TcpConnection>(inet_, qp,
@@ -307,22 +311,13 @@ QpipNic::installConn(QpContext &qp, const inet::FourTuple &t)
     qp.conn->stats().registerIn(
         statRegistry(), name() + ".qp" + std::to_string(qp.num) + ".tcp");
     inet_.registerConn(t, qp.conn.get());
-    connOwner_[qp.conn.get()] = &qp;
     return *qp.conn;
-}
-
-void
-QpipNic::uninstallConn(QpContext &qp)
-{
-    connOwner_.erase(qp.conn.get());
-    inet_.unregisterConn(qp.conn->tuple());
 }
 
 QpipNic::QpContext *
 QpipNic::lookupQp(QpNum qp)
 {
-    auto it = qps_.find(qp);
-    return it == qps_.end() ? nullptr : it->second.get();
+    return qp < qps_.size() ? qps_[qp].get() : nullptr;
 }
 
 inet::TcpConnection *
@@ -849,12 +844,10 @@ QpipNic::inetName() const
 }
 
 void
-QpipNic::connectionClosed(inet::TcpConnection &conn)
+QpipNic::connectionClosed(inet::TcpConnection &)
 {
     // The engine already dropped the PCB entry; the QpContext keeps
-    // the connection object until the QP is destroyed, so only the
-    // ownership record goes away here.
-    connOwner_.erase(&conn);
+    // the connection object until the QP is destroyed.
 }
 
 sim::Tracer *

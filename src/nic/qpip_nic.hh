@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "inet/inet_stack.hh"
 #include "inet/tcp_conn.hh"
@@ -45,6 +46,7 @@
 #include "nic/lanai.hh"
 #include "nic/qp_ctx_cache.hh"
 #include "nic/qp_state.hh"
+#include "sim/fifo.hh"
 
 namespace qpip::nic {
 
@@ -369,9 +371,6 @@ class QpipNic : public sim::SimObject,
     inet::TcpConnection &installConn(QpContext &qp,
                                      const inet::FourTuple &t);
 
-    /** Unregister @p qp's connection (PCB and owner); keep the object. */
-    void uninstallConn(QpContext &qp);
-
     QpContext *lookupQp(QpNum qp);
 
     inet::InetAddr addr_;
@@ -388,12 +387,13 @@ class QpipNic : public sim::SimObject,
     std::unique_ptr<UdEngine> udEngine_;
     std::unique_ptr<RudEngine> rudEngine_;
 
-    /** Ordered by QP number: table walks follow creation order. */
-    std::map<QpNum, std::unique_ptr<QpContext>> qps_;
+    /**
+     * Indexed by QP number: numbers are handed out densely from
+     * nextQpNum_ and never reused, so a destroyed QP leaves a null.
+     */
+    std::vector<std::unique_ptr<QpContext>> qps_;
     /** Ordered by SRQ number. */
     std::map<SrqNum, std::unique_ptr<SrqContext>> srqs_;
-    // Lookup/erase only, never iterated — safe despite pointer keys.
-    std::unordered_map<inet::TcpConnection *, QpContext *> connOwner_;
 
     /** Per-CQ completion-event moderation state. */
     struct CqModState
@@ -411,7 +411,7 @@ class QpipNic : public sim::SimObject,
         QpNum qp = invalidQp;
         AcceptCb done;
     };
-    std::map<std::uint16_t, std::deque<PendingAccept>> listeners_;
+    std::map<std::uint16_t, sim::Fifo<PendingAccept>> listeners_;
 };
 
 } // namespace qpip::nic

@@ -15,13 +15,13 @@
 #pragma once
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "nic/qpip_nic.hh"
 #include "nic/transport/rc_engine.hh"
+#include "sim/fifo.hh"
 
 namespace qpip::nic {
 
@@ -33,7 +33,7 @@ namespace qpip::nic {
 template <typename Wr>
 struct RingShadow
 {
-    std::deque<Wr> *ring = nullptr;
+    sim::Fifo<Wr> *ring = nullptr;
     std::uint64_t seen = 0;     ///< WRs ever announced by a doorbell
     std::uint64_t consumed = 0; ///< WRs ever popped by the NIC
     /** Announced WRs still in the ring, and their buffer bytes. */
@@ -164,12 +164,12 @@ struct QpipNic::QpContext : public inet::TcpObserver,
     };
 
     // Sent-but-unacked TCP messages, ACKed in FIFO order.
-    std::deque<Inflight> inflightSends;
+    sim::Fifo<Inflight> inflightSends;
     std::uint64_t nextTag = 1;
 
     // One-sided ops awaiting their response, answered in FIFO order
     // (responses ride the same TCP stream as the requests).
-    std::deque<std::pair<std::uint64_t, SendWr>> pendingRdma;
+    sim::Fifo<std::pair<std::uint64_t, SendWr>> pendingRdma;
     std::uint64_t nextRdmaId = 1;
 
     bool recvWrAvailable() const { return recv->available(); }

@@ -21,12 +21,12 @@
 
 #pragma once
 
-#include <deque>
 #include <map>
 #include <set>
 
 #include "nic/transport/ud_engine.hh"
 #include "sim/event_queue.hh"
+#include "sim/fifo.hh"
 
 namespace qpip::nic {
 
@@ -74,8 +74,8 @@ class RudEngine : public UdEngine
         std::uint32_t nextSeq = 1;  ///< next sequence to emit
         std::uint32_t ackedSeq = 0; ///< highest cumulative ack seen
         std::uint32_t rtoShift = 0; ///< backoff exponent
-        std::deque<Unacked> window;
-        std::deque<PendingSend> blocked;
+        sim::Fifo<Unacked> window;
+        sim::Fifo<PendingSend> blocked;
         sim::EventHandle rto;
 
         // Receiver side.

@@ -75,7 +75,8 @@ QueuePair::postSendChain(std::span<const nic::SendWr> wrs)
         provider_.costs().postSend +
         provider_.costs().postSendChained *
             static_cast<sim::Cycles>(wrs.size() - 1));
-    rings_.sendQ.insert(rings_.sendQ.end(), wrs.begin(), wrs.end());
+    for (const nic::SendWr &wr : wrs)
+        rings_.sendQ.push_back(wr);
     provider_.nic().ringDoorbell(
         {num_, true, false, static_cast<std::uint32_t>(wrs.size())});
     return true;

@@ -80,14 +80,18 @@ EventQueue::nextEventTick() const
 void
 EventQueue::clear()
 {
+    // Every entry goes, so no heap order need be kept: release the
+    // slots in array order. Destroying a closure may re-enter
+    // schedule() (dropped via clearing_) or cancel() another dropped
+    // event (marks it Cancelled; its slot is released here all the
+    // same).
     clearing_ = true;
-    while (!heap_.empty()) {
-        const std::uint32_t slot = heap_.front().slot;
-        heapPop();
-        // Destroying the closure may re-enter schedule() (dropped via
-        // clearing_) or cancel() other events (handled lazily above).
-        releaseSlot(slot);
-    }
+    std::vector<HeapEntry> dropped;
+    dropped.swap(heap_);
+    for (const HeapEntry &e : dropped)
+        releaseSlot(e.slot);
+    dropped.clear();
+    heap_.swap(dropped); // keep the heap's capacity
     clearing_ = false;
 }
 

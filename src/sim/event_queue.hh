@@ -422,6 +422,11 @@ class EventQueue
     Tick handleWhen(std::uint32_t slot, std::uint32_t gen) const;
 
     std::vector<HeapEntry> heap_;
+    /**
+     * A deque, not a Fifo or vector: step() holds a reference to the
+     * running record while its closure schedules, and growing the
+     * slab must not move the records.
+     */
     std::deque<detail::EventRecord> slab_;
     std::vector<std::uint32_t> freelist_;
     Tick now_ = 0;

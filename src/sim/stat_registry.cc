@@ -77,6 +77,7 @@ StatRegistry::attach(StatGroup &group, std::span<const StatLeaf> fresh)
         nodes_.emplace(group.prefix_, &group);
     group.leaves_.insert(group.leaves_.end(), fresh.begin(), fresh.end());
     leaves_ += fresh.size();
+    indexSpans(group.prefix_, fresh, true);
 }
 
 void
@@ -89,6 +90,25 @@ StatRegistry::detach(StatGroup &group)
         ++it;
     nodes_.erase(it);
     leaves_ -= group.leaves_.size();
+    indexSpans(group.prefix_, group.leaves_, false);
+}
+
+void
+StatRegistry::indexSpans(std::string_view prefix,
+                         std::span<const StatLeaf> leaves, bool add)
+{
+    for (const StatLeaf &l : leaves) {
+        const std::string_view name = l.name;
+        for (std::size_t dot = name.find('.'); dot != name.npos;
+             dot = name.find('.', dot + 1)) {
+            const std::string spanned = joinPath(prefix, name.substr(0, dot));
+            if (add) {
+                ++spans_[spanned];
+            } else if (auto it = spans_.find(spanned); --it->second == 0) {
+                spans_.erase(it);
+            }
+        }
+    }
 }
 
 const StatLeaf *
@@ -125,6 +145,9 @@ StatRegistry::checkFree(std::string_view prefix,
     // A leaf of the group at q prints as "<prefix>.<l>" when q is the
     // prefix or one of its dot-ancestors (down to the unnamed group)
     // and the leaf reads "<rel>.<l>", rel being the prefix below q.
+    // Such an ancestor's leaf spans the prefix, so the ancestors are
+    // walked only when the span index holds it.
+    const std::size_t stop = spans_.contains(prefix) ? 0 : prefix.size();
     for (std::size_t cut = prefix.size();;) {
         const std::string_view q = prefix.substr(0, cut);
         const std::string_view rel =
@@ -142,7 +165,7 @@ StatRegistry::checkFree(std::string_view prefix,
                 }
             }
         }
-        if (cut == 0)
+        if (cut == stop)
             break;
         const std::size_t dot = prefix.rfind('.', cut - 1);
         cut = dot == std::string_view::npos ? 0 : dot;

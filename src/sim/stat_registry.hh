@@ -14,6 +14,7 @@
 
 #pragma once
 
+#include <functional>
 #include <initializer_list>
 #include <mutex>
 #include <span>
@@ -92,6 +93,19 @@ class StatRegistry
     /** Nodes keyed by prefix; the key views the group's own prefix. */
     using Nodes = std::unordered_multimap<std::string_view, StatGroup *>;
 
+    /** Lets the span index be probed with a string_view. */
+    struct SpanHash
+    {
+        using is_transparent = void;
+        std::size_t
+        operator()(std::string_view s) const
+        {
+            return std::hash<std::string_view>()(s);
+        }
+    };
+    using Spans = std::unordered_map<std::string, std::size_t, SpanHash,
+                                     std::equal_to<>>;
+
     /**
      * Append @p fresh to @p group, making the group a node on its
      * first leaf. Panics if any resulting path is already registered.
@@ -99,6 +113,9 @@ class StatRegistry
     void attach(StatGroup &group, std::span<const StatLeaf> fresh);
     /** Withdraw @p group's node (it must hold at least one leaf). */
     void detach(StatGroup &group);
+    /** Count (@p add) or uncount the prefixes @p leaves span. */
+    void indexSpans(std::string_view prefix,
+                    std::span<const StatLeaf> leaves, bool add);
 
     /** Panic if "<prefix>.<leaf>" exists for any leaf of @p fresh. */
     void checkFree(std::string_view prefix,
@@ -120,6 +137,13 @@ class StatRegistry
      */
     mutable std::mutex m_;
     Nodes nodes_;
+    /**
+     * The prefixes that dotted leaves span, each with the number of
+     * leaves spanning it: leaf "x.y" of the group at "p" spans "p.x".
+     * A group's leaves can only clash with an ancestor group's leaf
+     * if that leaf spans the group's prefix.
+     */
+    Spans spans_;
     std::size_t leaves_ = 0;
 };
 

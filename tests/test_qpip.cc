@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "apps/testbed.hh"
 #include "apps/verbs_util.hh"
 
@@ -409,6 +412,77 @@ TEST(QpipVerbs, DestroyRightAfterDisconnectResetsThePeer)
     EXPECT_FALSE(c.isSend);
     EXPECT_EQ(c.wrId, 41u);
     EXPECT_EQ(c.status, WcStatus::RemoteReset);
+}
+
+// Connect many QPs, then destroy both ends in shuffled order: some
+// QPs go while their connection is open (abort, RST), the rest after
+// the peer's RST already closed theirs. Every per-QP table entry must
+// go with its QP.
+TEST(QpipVerbs, QpChurnReturnsTablesToBaseline)
+{
+    constexpr std::size_t n = 256;
+    nic::QpipNicParams params;
+    params.qpCacheCapacity = 64; // the churn evicts as well as installs
+    QpipTestbed bed(2, qpipNativeMtu, 1, params);
+    auto cq0 = bed.provider(0).createCq();
+    auto cq1 = bed.provider(1).createCq();
+    const auto &reg = bed.sim().stats();
+    const std::size_t statsBefore = reg.size();
+    const auto pathsBefore = reg.match();
+    const std::string qpStats = "*.qp*.tcp.*";
+    const std::string qpDumpBefore = reg.jsonDump(qpStats);
+    const std::size_t pcbsBefore[] = {bed.nicOf(0).inet().connCount(),
+                                      bed.nicOf(1).inet().connCount()};
+    const std::size_t cachedBefore[] = {bed.nicOf(0).qpCache().size(),
+                                        bed.nicOf(1).qpCache().size()};
+
+    verbs::Acceptor acc(bed.provider(1), 700, cq1, cq1);
+    // (host, QP) for both ends of every connection.
+    std::vector<std::pair<std::size_t, std::shared_ptr<verbs::QueuePair>>>
+        qps;
+    std::size_t connected = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        acc.acceptOne([&](std::shared_ptr<verbs::QueuePair> q) {
+            qps.emplace_back(1, std::move(q));
+        });
+        auto qp = bed.provider(0).createQp(nic::QpType::ReliableTcp,
+                                           cq0, cq0);
+        qp->connect(bed.addr(1, 700), [&](bool ok) { connected += ok; });
+        qps.emplace_back(0, std::move(qp));
+    }
+    bed.sim().runUntilCondition(
+        [&] { return connected == n && qps.size() == 2 * n; },
+        bed.sim().now() + 10 * sim::oneSec);
+    ASSERT_EQ(connected, n);
+    ASSERT_EQ(qps.size(), 2 * n);
+    EXPECT_EQ(bed.nicOf(0).inet().connCount(), pcbsBefore[0] + n);
+    EXPECT_EQ(bed.nicOf(1).inet().connCount(), pcbsBefore[1] + n);
+    EXPECT_EQ(reg.size(), statsBefore + 2 * n * 14);
+    EXPECT_NE(reg.jsonDump(qpStats), qpDumpBefore);
+
+    std::mt19937 rng(7);
+    std::shuffle(qps.begin(), qps.end(), rng);
+    std::size_t destroyedOpen = 0;
+    for (auto &[host, qp] : qps) {
+        const auto *conn = bed.nicOf(host).connectionOf(qp->num());
+        destroyedOpen += conn->state() != inet::TcpState::Closed;
+        qp.reset();
+        bed.sim().runFor(10 * sim::oneUs);
+    }
+    bed.sim().runFor(100 * sim::oneMs);
+    // Both destroy paths ran: abort of an open connection, and
+    // teardown of one the peer's RST already closed.
+    EXPECT_GT(destroyedOpen, 0u);
+    EXPECT_LT(destroyedOpen, 2 * n);
+
+    EXPECT_EQ(reg.size(), statsBefore);
+    EXPECT_EQ(reg.match(), pathsBefore);
+    EXPECT_EQ(reg.jsonDump(qpStats), qpDumpBefore);
+    for (std::size_t h = 0; h < 2; ++h) {
+        EXPECT_EQ(bed.nicOf(h).inet().connCount(), pcbsBefore[h]);
+        EXPECT_EQ(bed.nicOf(h).qpCache().size(), cachedBefore[h]);
+        EXPECT_GT(bed.nicOf(h).qpCache().evictions.value(), 0u);
+    }
 }
 
 TEST(QpipVerbs, SgeBeyondRegionFailsSend)

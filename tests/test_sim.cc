@@ -1,17 +1,20 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event ordering and
- * cancellation, clock-domain conversion, statistics, RNG determinism.
+ * cancellation, clock-domain conversion, statistics, RNG determinism,
+ * and the FIFO every per-object queue is built on.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
+#include "sim/fifo.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
@@ -280,6 +283,40 @@ TEST(EventQueue, ClearDropsEventsAndRecyclesSlots)
     EXPECT_EQ(eq.freeSlots(), eq.slabSize());
 }
 
+// Closure destructors run during clear(): one that cancels another
+// dropped event or schedules a new one must leave every slot free.
+TEST(EventQueue, ClearSurvivesClosuresThatCancelAndSchedule)
+{
+    struct OnDrop
+    {
+        std::function<void()> fn;
+        ~OnDrop() { fn(); }
+    };
+    constexpr int n = 64;
+    EventQueue eq;
+    std::vector<EventHandle> handles(n);
+    int dropped = 0;
+    for (int i = 0; i < n; ++i) {
+        auto guard = std::make_shared<OnDrop>();
+        guard->fn = [&eq, &handles, &dropped, i] {
+            ++dropped;
+            handles[(i * 7 + 3) % n].cancel();
+            eq.schedule(eq.now() + 1, [] {});
+        };
+        handles[i] = eq.schedule(10 + i % 5, [guard] {});
+    }
+    handles[5].cancel(); // already cancelled when clear() reaches it
+    eq.clear();
+    EXPECT_EQ(dropped, n);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.slabSize(), static_cast<std::size_t>(n));
+    EXPECT_EQ(eq.freeSlots(), eq.slabSize());
+    bool ran = false;
+    eq.schedule(eq.now() + 1, [&] { ran = true; });
+    eq.run();
+    EXPECT_TRUE(ran);
+}
+
 TEST(EventQueue, LargeClosuresFallBackToHeapCorrectly)
 {
     EventQueue eq;
@@ -291,4 +328,94 @@ TEST(EventQueue, LargeClosuresFallBackToHeapCorrectly)
     eq.schedule(10, [big, &seen] { seen = big[0] + big[63]; });
     eq.run();
     EXPECT_EQ(seen, 16u);
+}
+
+TEST(Fifo, DefaultConstructedOwnsNothing)
+{
+    Fifo<int> f;
+    EXPECT_TRUE(f.empty());
+    EXPECT_EQ(f.capacity(), 0u);
+    Fifo<int> moved = std::move(f);
+    EXPECT_EQ(moved.capacity(), 0u);
+    f.push_back(1);
+    EXPECT_EQ(f.size(), 1u);
+    EXPECT_GT(f.capacity(), 0u);
+}
+
+// Pops move the head around the ring, so growth happens while the
+// live elements wrap past the end of the array.
+TEST(Fifo, WrapAndGrowthKeepFifoOrder)
+{
+    Fifo<std::unique_ptr<int>> f;
+    int next = 0;
+    int expect = 0;
+    for (int round = 0; round < 200; ++round) {
+        for (int k = 0; k < 3; ++k)
+            f.push_back(std::make_unique<int>(next++));
+        ASSERT_EQ(*f.front(), expect);
+        f.pop_front();
+        ++expect;
+        // Every element, in order, by index and by iteration.
+        for (std::size_t i = 0; i < f.size(); ++i)
+            ASSERT_EQ(*f[i], expect + static_cast<int>(i));
+        int seen = expect;
+        for (const auto &p : f)
+            ASSERT_EQ(*p, seen++);
+        ASSERT_EQ(*f.back(), next - 1);
+    }
+    while (!f.empty()) {
+        ASSERT_EQ(*f.front(), expect++);
+        f.pop_front();
+    }
+    EXPECT_EQ(expect, next);
+}
+
+TEST(Fifo, CapacityIsKeptAcrossDrains)
+{
+    Fifo<std::uint64_t> f;
+    for (std::uint64_t i = 0; i < 100; ++i)
+        f.push_back(i);
+    const std::size_t cap = f.capacity();
+    EXPECT_GE(cap, 100u);
+    for (int round = 0; round < 5; ++round) {
+        while (!f.empty())
+            f.pop_front();
+        EXPECT_EQ(f.capacity(), cap);
+        for (std::uint64_t i = 0; i < 100; ++i)
+            f.push_back(i);
+        EXPECT_EQ(f.capacity(), cap);
+        EXPECT_EQ(f.front(), 0u);
+        EXPECT_EQ(f.back(), 99u);
+    }
+}
+
+TEST(Fifo, ClearDestroysElementsAndKeepsCapacity)
+{
+    auto token = std::make_shared<int>(7);
+    Fifo<std::shared_ptr<int>> f;
+    for (int i = 0; i < 10; ++i)
+        f.push_back(token);
+    f.pop_front(); // clear from a head that is not slot 0
+    EXPECT_EQ(token.use_count(), 10);
+    const std::size_t cap = f.capacity();
+    f.clear();
+    EXPECT_TRUE(f.empty());
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(f.capacity(), cap);
+    f.push_back(token);
+    EXPECT_EQ(f.front(), token);
+    EXPECT_EQ(f.size(), 1u);
+}
+
+// A push that grows the array may take its argument from the Fifo
+// itself: the new element is built before the old ones move.
+TEST(Fifo, GrowingPushMayCopyFromItself)
+{
+    Fifo<std::vector<int>> f;
+    f.push_back({1, 2, 3});
+    while (f.size() < f.capacity())
+        f.push_back(f.front());
+    f.push_back(f.front()); // this one grows
+    for (const auto &v : f)
+        EXPECT_EQ(v, (std::vector<int>{1, 2, 3}));
 }
