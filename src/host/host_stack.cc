@@ -120,12 +120,6 @@ HostStack::tcpListen(std::uint16_t port, const inet::TcpConfig &cfg,
     listeners_[port] = std::move(listener);
 }
 
-void
-HostStack::tcpUnlisten(std::uint16_t port)
-{
-    listeners_.erase(port);
-}
-
 std::shared_ptr<UdpSocket>
 HostStack::udpBind(const inet::SockAddr &local)
 {
@@ -133,12 +127,6 @@ HostStack::udpBind(const inet::SockAddr &local)
     if (!inet_.bindUdp(local.port, sock.get()))
         sim::fatal("udp port %u already bound", local.port);
     return sock;
-}
-
-void
-HostStack::udpUnbind(std::uint16_t port)
-{
-    inet_.unbindUdp(port);
 }
 
 void

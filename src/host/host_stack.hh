@@ -100,10 +100,8 @@ class HostStack : public sim::SimObject, public inet::InetEnv
     /** Monitor @p port for incoming connections. */
     void tcpListen(std::uint16_t port, const inet::TcpConfig &cfg,
                    AcceptCb on_accept, std::size_t rcv_buf = 256 * 1024);
-    void tcpUnlisten(std::uint16_t port);
 
     std::shared_ptr<UdpSocket> udpBind(const inet::SockAddr &local);
-    void udpUnbind(std::uint16_t port);
 
     // --- NIC receive path (called from the NIC ISR) -------------------
     void nicReceive(net::PacketPtr pkt);

@@ -70,12 +70,6 @@ Link::serializationDelay(std::size_t wire_bytes) const
         std::llround(bits / cfg_.bitsPerSec * 1e12));
 }
 
-sim::Tick
-Link::txIdleAt(int side) const
-{
-    return dir_.at(static_cast<std::size_t>(side)).busyUntil;
-}
-
 namespace {
 
 [[noreturn]] void
@@ -231,7 +225,7 @@ Link::deliver(const Direction &tx, NetReceiver *receiver, PacketPtr pkt,
         receiver->onPacket(pkt);
     };
     if (tx.outbox != nullptr)
-        tx.outbox->post(arrive, sim::defaultPriority, std::move(fn));
+        tx.outbox->post(arrive, std::move(fn));
     else
         tx.eq->schedule(arrive, std::move(fn));
 }

@@ -78,9 +78,6 @@ class Link : public sim::SimObject
      */
     bool send(int from_side, PacketPtr pkt);
 
-    /** Tick at which the transmitter of @p side next goes idle. */
-    sim::Tick txIdleAt(int side) const;
-
     /** Serialization time of @p wire_bytes on this link. */
     sim::Tick serializationDelay(std::size_t wire_bytes) const;
 

@@ -28,17 +28,6 @@ wcStatusName(WcStatus s)
     return "?";
 }
 
-const char *
-wrOpcodeName(WrOpcode op)
-{
-    switch (op) {
-      case WrOpcode::Send: return "send";
-      case WrOpcode::RdmaWrite: return "rdma-write";
-      case WrOpcode::RdmaRead: return "rdma-read";
-    }
-    return "?";
-}
-
 inet::TcpConfig
 QpipNicParams::defaultFirmwareTcpConfig()
 {

@@ -3,10 +3,10 @@
  * The discrete-event scheduler at the heart of the simulation.
  *
  * Events are closures scheduled at an absolute Tick. Ties are broken
- * first by an explicit priority (lower runs first) and then by
- * insertion order, so the simulation is fully deterministic. Scheduled
- * events can be cancelled or rescheduled through an EventHandle,
- * which is how protocol timers (TCP retransmit, delayed ACK, ...) are
+ * by insertion order: the key is (tick, seq), seq counting schedule()
+ * calls, so the simulation is fully deterministic. Scheduled events
+ * can be cancelled or rescheduled through an EventHandle, which is
+ * how protocol timers (TCP retransmit, delayed ACK, ...) are
  * implemented.
  *
  * Hot-path design: event records live in a slab (a deque of
@@ -38,9 +38,6 @@
 #include "sim/types.hh"
 
 namespace qpip::sim {
-
-/** Default event priority; smaller values run earlier within a tick. */
-constexpr int defaultPriority = 0;
 
 namespace detail {
 
@@ -126,8 +123,6 @@ enum class EventState : std::uint8_t {
 struct EventRecord
 {
     Tick when = 0;
-    int priority = defaultPriority;
-    std::uint64_t seq = 0;
     std::uint32_t gen = 0;
     EventState state = EventState::Free;
     EventFn fn;
@@ -191,7 +186,7 @@ class EventQueue
      */
     template <typename F>
     EventHandle
-    schedule(Tick when, F &&fn, int priority = defaultPriority)
+    schedule(Tick when, F &&fn)
     {
         if (clearing_)
             return EventHandle{}; // teardown in progress: drop silently
@@ -199,20 +194,18 @@ class EventQueue
         const std::uint32_t slot = acquireSlot();
         detail::EventRecord &rec = slab_[slot];
         rec.when = when;
-        rec.priority = priority;
-        rec.seq = nextSeq_++;
         rec.state = detail::EventState::Pending;
         rec.fn.emplace(std::forward<F>(fn));
-        heapPush(HeapEntry{when, priority, rec.seq, slot});
+        heapPush(HeapEntry{when, nextSeq_++, slot});
         return EventHandle(this, slot, rec.gen);
     }
 
     /** Schedule @p fn to run @p delay ticks from now. */
     template <typename F>
     EventHandle
-    scheduleIn(Tick delay, F &&fn, int priority = defaultPriority)
+    scheduleIn(Tick delay, F &&fn)
     {
-        return schedule(now_ + delay, std::forward<F>(fn), priority);
+        return schedule(now_ + delay, std::forward<F>(fn));
     }
 
     /** @return true if no runnable events remain. */
@@ -298,23 +291,21 @@ class EventQueue
     struct HeapEntry
     {
         Tick when;
-        int priority;
         std::uint64_t seq;
         std::uint32_t slot;
     };
+    static_assert(sizeof(HeapEntry) == 24);
 
     /**
-     * (when, priority, seq) is a strict total order (seq is unique),
-     * so the pop sequence is the same for any correct heap — the heap
-     * arity and layout are free to change without affecting replay.
+     * (when, seq) is a strict total order (seq is unique), so the pop
+     * sequence is the same for any correct heap — the heap arity and
+     * layout are free to change without affecting replay.
      */
     static bool
     earlier(const HeapEntry &a, const HeapEntry &b)
     {
         if (a.when != b.when)
             return a.when < b.when;
-        if (a.priority != b.priority)
-            return a.priority < b.priority;
         return a.seq < b.seq;
     }
 

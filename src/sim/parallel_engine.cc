@@ -183,18 +183,16 @@ ParallelEngine::injectMail()
     }
     statMailboxPosts_.inc(posts);
     statBatchedPosts_.inc(batched);
-    // K-way merge of the sorted per-edge runs. (tick, priority, seq,
-    // srcId) is a strict total order (seq streams are per-source
-    // partition), so destination-queue insertion order — and with it
-    // the seq numbers the destination assigns — is independent of
-    // thread count, and identical to the global sort it replaces.
+    // K-way merge of the sorted per-edge runs. (tick, seq, srcId) is a
+    // strict total order (seq streams are per-source partition), so
+    // destination-queue insertion order — and with it the seq numbers
+    // the destination assigns — is independent of thread count, and
+    // identical to the global sort it replaces.
     const auto later = [](const RunCursor &a, const RunCursor &b) {
         const auto &ma = a.mb->msgs_[a.idx];
         const auto &mb_ = b.mb->msgs_[b.idx];
         if (ma.when != mb_.when)
             return ma.when > mb_.when;
-        if (ma.priority != mb_.priority)
-            return ma.priority > mb_.priority;
         if (ma.seq != mb_.seq)
             return ma.seq > mb_.seq;
         return a.mb->src().id() > b.mb->src().id();
@@ -204,8 +202,7 @@ ParallelEngine::injectMail()
         std::pop_heap(merge_.begin(), merge_.end(), later);
         RunCursor &cur = merge_.back();
         auto &m = cur.mb->msgs_[cur.idx];
-        cur.mb->dst().eventQueue().schedule(m.when, std::move(m.fn),
-                                            m.priority);
+        cur.mb->dst().eventQueue().schedule(m.when, std::move(m.fn));
         if (++cur.idx < cur.mb->msgs_.size()) {
             std::push_heap(merge_.begin(), merge_.end(), later);
         } else {

@@ -8,7 +8,7 @@
  *
  *   1. merge every Mailbox batch and inject the messages into the
  *      destination queues in deterministic order, sorted by
- *      (tick, priority, seq, source partition id);
+ *      (tick, seq, source partition id);
  *   2. compute per-partition horizons from per-edge lookaheads (see
  *      below) — each partition gets its own bound instead of the
  *      whole fabric marching at the pace of its slowest link;
@@ -57,7 +57,7 @@
  * local append buffer (no synchronization: only the source's worker
  * touches it). The barrier sorts each posted batch once, then
  * k-way-merges the sorted runs straight into the destination queues —
- * the same (tick, priority, seq, srcId) total order as a global sort.
+ * the same (tick, seq, srcId) total order as a global sort.
  *
  * Epoch scheduling. Every epoch, runnable partitions are claimed in
  * ascending id order from one shared index, by the worker threads and
@@ -65,7 +65,7 @@
  * mutex-ordered path with no workers.
  *
  * Determinism: each partition's queue preserves the serial
- * (when, priority, seq) total order; injection order into a queue is
+ * (when, seq) total order; injection order into a queue is
  * fixed by the merge above; horizons are computed from queue state
  * alone; RNG streams are per-partition. None of that depends on the
  * number of worker threads, so an N-thread run is bit-identical to a

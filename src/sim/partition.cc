@@ -41,8 +41,6 @@ Mailbox::sortBatch()
     const auto before = [](const Msg &a, const Msg &b) {
         if (a.when != b.when)
             return a.when < b.when;
-        if (a.priority != b.priority)
-            return a.priority < b.priority;
         return a.seq < b.seq;
     };
     std::sort(msgs_.begin(), msgs_.end(), before);

@@ -9,9 +9,8 @@
  * Cross-partition communication goes through Mailbox: the source
  * partition appends closures to the edge's local batch buffer, and
  * the engine sorts and merges all batches at the epoch barrier in one
- * deterministic (tick, priority, seq, source partition id) pass — so
- * the resulting schedule is independent of thread count and
- * interleaving.
+ * deterministic (tick, seq, source partition id) pass — so the
+ * resulting schedule is independent of thread count and interleaving.
  *
  * Every edge carries its own lookahead, fixed when the engine creates
  * it (the minimum delivery latency of the links it carries), and
@@ -176,13 +175,13 @@ class Mailbox
     /** Post a closure for delivery at @p when in the destination. */
     template <typename F>
     void
-    post(Tick when, int priority, F &&fn)
+    post(Tick when, F &&fn)
     {
         if (when < dst_.epochHorizon()) [[unlikely]]
             panicBelowHorizon(when);
         if (msgs_.empty())
             src_.dirtyOut_.push_back(this);
-        msgs_.push_back(Msg{when, priority, src_.nextMailSeq(),
+        msgs_.push_back(Msg{when, src_.nextMailSeq(),
                             std::function<void()>(std::forward<F>(fn))});
     }
 
@@ -192,15 +191,14 @@ class Mailbox
     struct Msg
     {
         Tick when;
-        int priority;
         std::uint64_t seq;
         std::function<void()> fn;
     };
 
     /**
-     * Sort the pending batch by (when, priority, seq) — a strict
-     * total order, seq streams are per-source. Called once per batch,
-     * at the barrier.
+     * Sort the pending batch by (when, seq) — a strict total order,
+     * seq streams are per-source. Called once per batch, at the
+     * barrier.
      */
     void sortBatch();
 

@@ -69,19 +69,17 @@ class SimObject
      */
     template <typename F>
     EventHandle
-    schedule(Tick when, F &&fn, int priority = defaultPriority)
+    schedule(Tick when, F &&fn)
     {
-        return eventQueue().schedule(when, std::forward<F>(fn),
-                                     priority);
+        return eventQueue().schedule(when, std::forward<F>(fn));
     }
 
     /** Schedule a closure @p delay ticks from now. */
     template <typename F>
     EventHandle
-    scheduleIn(Tick delay, F &&fn, int priority = defaultPriority)
+    scheduleIn(Tick delay, F &&fn)
     {
-        return eventQueue().scheduleIn(delay, std::forward<F>(fn),
-                                       priority);
+        return eventQueue().scheduleIn(delay, std::forward<F>(fn));
     }
 
     /** Deterministic RNG stream of the bound execution context. */

@@ -48,22 +48,6 @@ joinPath(std::string_view prefix, std::string_view leaf)
     return out;
 }
 
-/**
- * The part of leaf @p name below @p rel: the whole name when rel is
- * empty, "<x>" when the name is "<rel>.<x>", otherwise empty (no leaf
- * is ever empty, so empty means "not below rel").
- */
-std::string_view
-leafBelow(std::string_view name, std::string_view rel)
-{
-    if (rel.empty())
-        return name;
-    if (name.size() > rel.size() + 1 && name.starts_with(rel) &&
-        name[rel.size()] == '.')
-        return name.substr(rel.size() + 1);
-    return {};
-}
-
 } // namespace
 
 void
@@ -77,7 +61,6 @@ StatRegistry::attach(StatGroup &group, std::span<const StatLeaf> fresh)
         nodes_.emplace(group.prefix_, &group);
     group.leaves_.insert(group.leaves_.end(), fresh.begin(), fresh.end());
     leaves_ += fresh.size();
-    indexSpans(group.prefix_, fresh, true);
 }
 
 void
@@ -90,25 +73,6 @@ StatRegistry::detach(StatGroup &group)
         ++it;
     nodes_.erase(it);
     leaves_ -= group.leaves_.size();
-    indexSpans(group.prefix_, group.leaves_, false);
-}
-
-void
-StatRegistry::indexSpans(std::string_view prefix,
-                         std::span<const StatLeaf> leaves, bool add)
-{
-    for (const StatLeaf &l : leaves) {
-        const std::string_view name = l.name;
-        for (std::size_t dot = name.find('.'); dot != name.npos;
-             dot = name.find('.', dot + 1)) {
-            const std::string spanned = joinPath(prefix, name.substr(0, dot));
-            if (add) {
-                ++spans_[spanned];
-            } else if (auto it = spans_.find(spanned); --it->second == 0) {
-                spans_.erase(it);
-            }
-        }
-    }
 }
 
 const StatLeaf *
@@ -128,76 +92,24 @@ void
 StatRegistry::checkFree(std::string_view prefix,
                         std::span<const StatLeaf> fresh) const
 {
-    const auto clash = [prefix](const std::string &leaf) {
-        panic("StatRegistry: duplicate stat path '%s'",
-              joinPath(prefix, leaf).c_str());
-    };
     for (std::size_t i = 0; i < fresh.size(); ++i) {
-        if (fresh[i].name.empty())
-            panic("StatRegistry: empty stat leaf under '%.*s'",
-                  static_cast<int>(prefix.size()), prefix.data());
-        for (std::size_t j = 0; j < i; ++j) {
-            if (fresh[j].name == fresh[i].name)
-                clash(fresh[i].name);
-        }
-    }
-
-    // A leaf of the group at q prints as "<prefix>.<l>" when q is the
-    // prefix or one of its dot-ancestors (down to the unnamed group)
-    // and the leaf reads "<rel>.<l>", rel being the prefix below q.
-    // Such an ancestor's leaf spans the prefix, so the ancestors are
-    // walked only when the span index holds it.
-    const std::size_t stop = spans_.contains(prefix) ? 0 : prefix.size();
-    for (std::size_t cut = prefix.size();;) {
-        const std::string_view q = prefix.substr(0, cut);
-        const std::string_view rel =
-            cut == prefix.size() ? std::string_view()
-                                 : prefix.substr(cut == 0 ? 0 : cut + 1);
-        const auto [first, last] = nodes_.equal_range(q);
-        for (auto it = first; it != last; ++it) {
-            for (const StatLeaf &m : it->second->leaves_) {
-                const std::string_view tail = leafBelow(m.name, rel);
-                if (tail.empty())
-                    continue;
-                for (const StatLeaf &l : fresh) {
-                    if (tail == l.name)
-                        clash(l.name);
-                }
-            }
-        }
-        if (cut == stop)
-            break;
-        const std::size_t dot = prefix.rfind('.', cut - 1);
-        cut = dot == std::string_view::npos ? 0 : dot;
-    }
-
-    // Or the group sits below the prefix, inside a dotted leaf: "x.y"
-    // under the prefix clashes with leaf "y" of the group at "<prefix>.x".
-    for (const StatLeaf &l : fresh) {
-        const std::string_view name = l.name;
-        for (std::size_t dot = name.find('.'); dot != name.npos;
-             dot = name.find('.', dot + 1)) {
-            const std::string below = joinPath(prefix, name.substr(0, dot));
-            if (leafOf(below, name.substr(dot + 1)) != nullptr)
-                clash(l.name);
-        }
+        bool taken = leafOf(prefix, fresh[i].name) != nullptr;
+        for (std::size_t j = 0; j < i && !taken; ++j)
+            taken = fresh[j].name == fresh[i].name;
+        if (taken)
+            panic("StatRegistry: duplicate stat path '%s'",
+                  joinPath(prefix, fresh[i].name).c_str());
     }
 }
 
 const StatLeaf *
 StatRegistry::find(std::string_view path) const
 {
-    // Every split "<prefix>.<leaf>", deepest prefix first, then the
-    // whole path under the unnamed prefix. Full paths are unique, so
-    // the first hit is the only one.
-    for (std::size_t dot = path.rfind('.');
-         dot != std::string_view::npos && dot > 0;
-         dot = path.rfind('.', dot - 1)) {
-        if (const StatLeaf *l =
-                leafOf(path.substr(0, dot), path.substr(dot + 1)))
-            return l;
-    }
-    return leafOf({}, path);
+    // Leaves are one segment, so the last dot is the only split.
+    const std::size_t dot = path.rfind('.');
+    if (dot == std::string_view::npos)
+        return leafOf({}, path);
+    return leafOf(path.substr(0, dot), path.substr(dot + 1));
 }
 
 std::vector<std::pair<std::string, const StatLeaf *>>
@@ -340,7 +252,49 @@ StatGroup::init(StatRegistry &registry, std::string prefix,
         panic("StatGroup: already bound to '%s'", prefix_.c_str());
     registry_ = &registry;
     prefix_ = std::move(prefix);
-    registry.attach(*this, {leaves.begin(), leaves.size()});
+    publish({leaves.begin(), leaves.size()});
+}
+
+void
+StatGroup::publish(std::span<const StatLeaf> leaves)
+{
+    bool dotted = false;
+    for (const StatLeaf &l : leaves) {
+        const std::string_view name = l.name;
+        if (name.empty() || name.front() == '.' || name.back() == '.' ||
+            name.find("..") != name.npos)
+            panic("StatRegistry: empty segment in stat leaf '%s' under "
+                  "'%s'",
+                  l.name.c_str(), prefix_.c_str());
+        dotted = dotted || name.find('.') != name.npos;
+    }
+    if (!dotted) {
+        registry_->attach(*this, leaves);
+        return;
+    }
+    for (const StatLeaf &l : leaves) {
+        const std::size_t dot = l.name.rfind('.');
+        if (dot == std::string::npos) {
+            registry_->attach(*this, {&l, 1});
+            continue;
+        }
+        StatLeaf tail = l;
+        tail.name.erase(0, dot + 1);
+        child(std::string_view(l.name).substr(0, dot)).publish({&tail, 1});
+    }
+}
+
+StatGroup &
+StatGroup::child(std::string_view head)
+{
+    std::string prefix = joinPath(prefix_, head);
+    for (StatGroup &c : children_) {
+        if (c.prefix_ == prefix)
+            return c;
+    }
+    StatGroup &c = children_.emplace_front();
+    c.init(*registry_, std::move(prefix));
+    return c;
 }
 
 void
@@ -348,6 +302,7 @@ StatGroup::clear()
 {
     if (registry_ == nullptr)
         return;
+    children_.clear();
     if (!leaves_.empty())
         registry_->detach(*this);
     leaves_.clear();

@@ -5,16 +5,20 @@
  * "host0.qnic.fw.stage.getWr") so tests, benches and reports can
  * enumerate, pattern-match and dump them uniformly instead of
  * hand-plumbing struct fields. The registry holds one node per
- * StatGroup: the group's prefix plus its table of (leaf, stat). Dotted
- * paths are built only where someone reads them, so publishing and
- * withdrawing a group costs one node insert and one node erase however
- * many stats it carries. StatGroup ties the node to the owning object
- * so paths never dangle.
+ * StatGroup: the group's prefix plus its table of (leaf, stat). Every
+ * leaf in a node is one path segment, so a node is keyed by the exact
+ * parent path of its stats and a full path has one split, at its last
+ * dot. A group given a dotted leaf "<head>.<tail>" publishes it in a
+ * child group at "<prefix>.<head>" that it owns. Dotted paths are
+ * built only where someone reads them, so publishing and withdrawing
+ * a group costs one node insert and one node erase however many stats
+ * it carries. StatGroup ties the node to the owning object so paths
+ * never dangle.
  */
 
 #pragma once
 
-#include <functional>
+#include <forward_list>
 #include <initializer_list>
 #include <mutex>
 #include <span>
@@ -90,34 +94,25 @@ class StatRegistry
   private:
     friend class StatGroup;
 
-    /** Nodes keyed by prefix; the key views the group's own prefix. */
+    /**
+     * Nodes keyed by exact parent path; the key views the group's own
+     * prefix.
+     */
     using Nodes = std::unordered_multimap<std::string_view, StatGroup *>;
 
-    /** Lets the span index be probed with a string_view. */
-    struct SpanHash
-    {
-        using is_transparent = void;
-        std::size_t
-        operator()(std::string_view s) const
-        {
-            return std::hash<std::string_view>()(s);
-        }
-    };
-    using Spans = std::unordered_map<std::string, std::size_t, SpanHash,
-                                     std::equal_to<>>;
-
     /**
-     * Append @p fresh to @p group, making the group a node on its
-     * first leaf. Panics if any resulting path is already registered.
+     * Append the one-segment leaves @p fresh to @p group, making the
+     * group a node on its first leaf. Panics if any resulting path is
+     * already registered.
      */
     void attach(StatGroup &group, std::span<const StatLeaf> fresh);
     /** Withdraw @p group's node (it must hold at least one leaf). */
     void detach(StatGroup &group);
-    /** Count (@p add) or uncount the prefixes @p leaves span. */
-    void indexSpans(std::string_view prefix,
-                    std::span<const StatLeaf> leaves, bool add);
 
-    /** Panic if "<prefix>.<leaf>" exists for any leaf of @p fresh. */
+    /**
+     * Panic if "<prefix>.<leaf>" exists for any leaf of @p fresh: one
+     * scan of the groups at exactly @p prefix.
+     */
     void checkFree(std::string_view prefix,
                    std::span<const StatLeaf> fresh) const;
     /** The leaf @p name of a group at exactly @p prefix, if any. */
@@ -137,20 +132,14 @@ class StatRegistry
      */
     mutable std::mutex m_;
     Nodes nodes_;
-    /**
-     * The prefixes that dotted leaves span, each with the number of
-     * leaves spanning it: leaf "x.y" of the group at "p" spans "p.x".
-     * A group's leaves can only clash with an ancestor group's leaf
-     * if that leaf spans the group's prefix.
-     */
-    Spans spans_;
     std::size_t leaves_ = 0;
 };
 
 /**
  * A set of stats sharing a prefix whose lifetime is bound to the
- * owning object: one registry node while it holds any leaf, withdrawn
- * by the destructor.
+ * owning object: one registry node while it holds any one-segment
+ * leaf, plus one owned child group per head of its dotted leaves, all
+ * withdrawn by the destructor.
  */
 class StatGroup
 {
@@ -163,7 +152,8 @@ class StatGroup
 
     /**
      * Bind to @p registry with @p prefix (must be unbound) and publish
-     * the leaf table @p leaves, if any, as one registry node.
+     * the leaf table @p leaves, if any. Leaves must have no empty
+     * segment.
      */
     void init(StatRegistry &registry, std::string prefix,
               std::initializer_list<StatLeaf> leaves = {});
@@ -177,19 +167,31 @@ class StatGroup
     add(std::string leaf, const Stat &stat)
     {
         const StatLeaf l(std::move(leaf), stat);
-        registry_->attach(*this, {&l, 1});
+        publish({&l, 1});
     }
 
-    /** Withdraw every leaf and unbind. */
+    /** Withdraw every leaf and child group, and unbind. */
     void clear();
 
   private:
     friend class StatRegistry;
 
+    /**
+     * Attach the one-segment leaves of @p leaves to this group's node
+     * and each dotted "<head>.<tail>" (split at its last dot) as leaf
+     * <tail> of child(<head>). A table with no dotted leaf goes to the
+     * registry as is.
+     */
+    void publish(std::span<const StatLeaf> leaves);
+    /** The child group at "<prefix>.<head>", bound on first use. */
+    StatGroup &child(std::string_view head);
+
     StatRegistry *registry_ = nullptr;
     std::string prefix_;
     /** A registry node exactly while this holds any leaf. */
     std::vector<StatLeaf> leaves_;
+    /** The groups holding this group's dotted leaves. */
+    std::forward_list<StatGroup> children_;
 };
 
 } // namespace qpip::sim

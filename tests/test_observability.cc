@@ -532,6 +532,96 @@ TEST(StatRegistry, DuplicateFullPathPanics)
     EXPECT_FALSE(reg.contains("a.b"));
 }
 
+TEST(StatRegistry, DottedLeafGroupClearsAndReinits)
+{
+    sim::Counter c[4];
+    sim::StatRegistry reg;
+    sim::StatGroup other;
+    other.init(reg, "n.d", {{"z", c[0]}});
+    const std::size_t base = reg.size();
+
+    sim::StatGroup g;
+    const auto publish = [&] {
+        g.init(reg, "n",
+               {{"x", c[0]}, {"d.a", c[1]}, {"d.b", c[2]}, {"e.f.g", c[3]}});
+    };
+    publish();
+    EXPECT_EQ(reg.size(), base + 4);
+    EXPECT_EQ(reg.counter("n.d.a"), &c[1]);
+    EXPECT_EQ(reg.counter("n.e.f.g"), &c[3]);
+
+    // Clearing withdraws the child groups too, so the same table can
+    // be published again under the same prefix.
+    g.clear();
+    EXPECT_EQ(reg.size(), base);
+    EXPECT_FALSE(reg.contains("n.d.a"));
+    EXPECT_FALSE(reg.contains("n.e.f.g"));
+    EXPECT_EQ(reg.match(), (std::vector<std::string>{"n.d.z"}));
+    publish();
+    g.add("d.c", c[0]);
+    EXPECT_EQ(reg.size(), base + 5);
+    EXPECT_EQ(reg.counter("n.d.b"), &c[2]);
+    EXPECT_EQ(reg.counter("n.d.c"), &c[0]);
+    g.clear();
+    EXPECT_EQ(reg.size(), base);
+}
+
+TEST(StatRegistry, AddsShareOneChildAndClashAcrossGroups)
+{
+    sim::Counter c1, c2, c3;
+    sim::StatRegistry reg;
+    sim::StatGroup g;
+    g.init(reg, "p");
+    g.add("q.a", c1);
+    g.add("q.b", c2);
+    EXPECT_EQ(reg.size(), 2u);
+    EXPECT_EQ(reg.counter("p.q.a"), &c1);
+    EXPECT_EQ(reg.counter("p.q.b"), &c2);
+    EXPECT_EQ(reg.match("p.q.*"),
+              (std::vector<std::string>{"p.q.a", "p.q.b"}));
+
+    // Another group's dotted leaf, or a group at the child's own
+    // prefix, lands in the same parent path and clashes there.
+    const auto viaDottedLeaf = [&] {
+        sim::StatGroup h;
+        h.init(reg, "p", {{"q.b", c3}});
+    };
+    EXPECT_DEATH(viaDottedLeaf(), "duplicate stat path 'p.q.b'");
+    const auto viaPrefix = [&] {
+        sim::StatGroup h;
+        h.init(reg, "p.q", {{"a", c3}});
+    };
+    EXPECT_DEATH(viaPrefix(), "duplicate stat path 'p.q.a'");
+
+    // A different leaf under the same parent path is no clash.
+    sim::StatGroup h;
+    h.init(reg, "p", {{"q.c", c3}});
+    EXPECT_EQ(reg.match("p.q.*"),
+              (std::vector<std::string>{"p.q.a", "p.q.b", "p.q.c"}));
+    g.clear();
+    EXPECT_EQ(reg.match(), (std::vector<std::string>{"p.q.c"}));
+}
+
+TEST(StatRegistry, EmptyLeafSegmentPanics)
+{
+    sim::Counter c;
+    for (const char *leaf : {"x.", ".x", "x..y", ""}) {
+        const auto viaInit = [&] {
+            sim::StatRegistry reg;
+            sim::StatGroup g;
+            g.init(reg, "p", {{leaf, c}});
+        };
+        EXPECT_DEATH(viaInit(), "empty segment in stat leaf") << leaf;
+        const auto viaAdd = [&] {
+            sim::StatRegistry reg;
+            sim::StatGroup g;
+            g.init(reg, "p");
+            g.add(leaf, c);
+        };
+        EXPECT_DEATH(viaAdd(), "empty segment in stat leaf") << leaf;
+    }
+}
+
 TEST(StatRegistry, InterleavedPrefixesStaySortedByFullPath)
 {
     sim::Counter c[6];

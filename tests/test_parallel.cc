@@ -88,23 +88,24 @@ TEST(ParallelEngine, MailboxMergeOrderIsDeterministic)
     // Only partition c's events touch `order`.
     std::vector<std::string> order;
     a.eventQueue().schedule(0, [&] {
-        ac.post(100, 1, [&order] { order.push_back("a.p1"); });
-        ac.post(100, 0, [&order] { order.push_back("a.p0"); });
-        ac.post(60, 0, [&order] { order.push_back("a.early"); });
+        ac.post(100, [&order] { order.push_back("a.s0"); });
+        ac.post(100, [&order] { order.push_back("a.s1"); });
+        ac.post(60, [&order] { order.push_back("a.early"); });
     });
     b.eventQueue().schedule(0, [&] {
-        bc.post(100, 1, [&order] { order.push_back("b.p1"); });
-        bc.post(60, 0, [&order] { order.push_back("b.early"); });
+        bc.post(100, [&order] { order.push_back("b.s0"); });
+        bc.post(60, [&order] { order.push_back("b.early"); });
     });
     eng.run();
 
-    // (tick, priority, seq, srcId): ties on tick+priority fall back
-    // to the per-source post sequence, then the source partition id.
-    // At tick 60, a.early is a's third post (seq 2) while b.early is
-    // b's second (seq 1), so b goes first; a.p1 and b.p1 are both
-    // seq 0 in their streams, so partition a (id 0) breaks that tie.
+    // (tick, seq, srcId): ties on tick fall back to the per-source
+    // post sequence, then the source partition id. At tick 60,
+    // a.early is a's third post (seq 2) while b.early is b's second
+    // (seq 1), so b goes first. At tick 100, a.s0 and b.s0 are both
+    // seq 0 in their streams, so partition a (id 0) breaks that tie,
+    // and a.s1 (seq 1) follows both.
     const std::vector<std::string> expect = {
-        "b.early", "a.early", "a.p0", "a.p1", "b.p1"};
+        "b.early", "a.early", "a.s0", "b.s0", "a.s1"};
     EXPECT_EQ(order, expect);
 }
 
@@ -154,7 +155,7 @@ runBounce(int threads)
             d.hits.emplace_back(self->id(), now);
             d.draws.push_back(self->rng().next());
             if (--remaining > 0) {
-                out->post(now + 100, 0, [&hop, peer, back, self, out] {
+                out->post(now + 100, [&hop, peer, back, self, out] {
                     hop(peer, back, self, out);
                 });
             }
@@ -251,9 +252,8 @@ TEST(ParallelEngine, HorizonFloorsPropagateThroughStalledChains)
     // first epoch and the tick-20 delivery violates its horizon.
     std::vector<Tick> cOrder; // written only by partition c
     a.eventQueue().schedule(0, [&] {
-        ab.post(10, 0, [&] {
-            bc.post(20, 0,
-                    [&] { cOrder.push_back(c.eventQueue().now()); });
+        ab.post(10, [&] {
+            bc.post(20, [&] { cOrder.push_back(c.eventQueue().now()); });
         });
     });
     c.eventQueue().schedule(1000,
@@ -320,8 +320,8 @@ TEST(ParallelEngine, RegistersParallelStats)
             EXPECT_TRUE(simu.stats().contains(leaf)) << leaf;
         int got = 0;
         a.eventQueue().schedule(0, [&] {
-            ab.post(10, 0, [&] { ++got; });
-            ab.post(11, 0, [&] { ++got; });
+            ab.post(10, [&] { ++got; });
+            ab.post(11, [&] { ++got; });
         });
         eng.run();
         EXPECT_EQ(got, 2);

@@ -33,15 +33,16 @@ TEST(EventQueue, RunsInTimeOrder)
     EXPECT_EQ(eq.now(), 30u);
 }
 
-TEST(EventQueue, TieBreaksByPriorityThenInsertion)
+TEST(EventQueue, TieBreaksByInsertion)
 {
     EventQueue eq;
     std::vector<int> order;
-    eq.schedule(10, [&] { order.push_back(1); }, 5);
-    eq.schedule(10, [&] { order.push_back(2); }, -1);
-    eq.schedule(10, [&] { order.push_back(3); }, 5);
+    eq.schedule(10, [&] { order.push_back(1); });
+    eq.schedule(5, [&] { order.push_back(0); });
+    eq.schedule(10, [&] { order.push_back(2); });
+    eq.schedule(10, [&] { order.push_back(3); });
     eq.run();
-    EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(EventQueue, CancelPreventsExecution)
